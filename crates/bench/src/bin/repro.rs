@@ -90,7 +90,13 @@ fn main() {
         run_providers();
         return;
     }
-    let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
+    let seed: u64 = match &args[args.len().min(2)..] {
+        [] => 1,
+        [s] => s
+            .parse()
+            .unwrap_or_else(|_| usage(&format!("seed `{s}` is not an integer"))),
+        [_, extra, ..] => usage(&format!("unexpected argument `{extra}`")),
+    };
 
     match what {
         "table1" => print!("{}", render_table1(seed)),
@@ -119,25 +125,28 @@ fn main() {
             run_ablations(seed);
             run_extension(seed);
         }
-        other => {
-            eprintln!("unknown experiment `{other}`");
-            eprintln!(
-                "usage: repro [table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|ablations|extension|all] [seed]"
-            );
-            eprintln!("       repro trace <job> [--arch serverless|hybrid|spark] [--seed N]");
-            eprintln!(
-                "       repro plan <job> [--objective cost|latency|pareto] [--threads N] [--seed N] [--smoke]"
-            );
-            eprintln!(
-                "       repro fleet <scenario> [--arrival-rate R] [--duration S] [--seed N] [--threads N]"
-            );
-            eprintln!("       repro dag <job> [--seed N] [--smoke]");
-            eprintln!("       repro workload <name|all|path/to.wl> [--seed N] [--smoke] [--dsl]");
-            eprintln!("       repro workload --list");
-            eprintln!("       repro providers");
-            std::process::exit(2);
-        }
+        other => usage(&format!("unknown experiment `{other}`")),
     }
+}
+
+/// Prints `msg` and the usage text, then exits with status 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!(
+        "usage: repro [table1|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|ablations|extension|all] [seed]"
+    );
+    eprintln!("       repro trace <job> [--arch serverless|hybrid|spark] [--seed N]");
+    eprintln!(
+        "       repro plan <job> [--objective cost|latency|pareto] [--threads N] [--seed N] [--smoke]"
+    );
+    eprintln!(
+        "       repro fleet <scenario> [--arrival-rate R] [--duration S] [--seed N] [--threads N]"
+    );
+    eprintln!("       repro dag <job> [--seed N] [--smoke]");
+    eprintln!("       repro workload <name|all|path/to.wl> [--seed N] [--smoke] [--dsl]");
+    eprintln!("       repro workload --list");
+    eprintln!("       repro providers");
+    std::process::exit(2);
 }
 
 /// `repro trace <job> [--arch A] [--seed N]`: trace JSON on stdout,
@@ -279,6 +288,23 @@ fn run_fleet(args: &[String]) {
     }
     if let Some(secs) = duration {
         sc.duration_secs = secs;
+    }
+    if arrival_rate.is_some() || duration.is_some() {
+        // One more draw than the cap shows whether the cap, rather than
+        // the requested window, would end the traffic.
+        let mut uncapped = sc.clone();
+        uncapped.max_jobs = sc.max_jobs.saturating_add(1);
+        let arrivals = fleet::schedule(&uncapped, seed);
+        if arrivals.len() > sc.max_jobs {
+            let last = arrivals[..sc.max_jobs]
+                .last()
+                .map_or(0.0, |a| a.at.as_secs_f64());
+            die(&format!(
+                "scenario `{scenario}` caps traffic at {} jobs (max_jobs): at {} jobs/min the \
+                 last admitted arrival is at {last:.1}s, before the requested {}s window ends",
+                sc.max_jobs, sc.arrival_rate_per_min, sc.duration_secs
+            ));
+        }
     }
     match fleet::run_scenario(&sc, seed, threads) {
         Ok(report) => print!("{}", fleet::report::render(&report)),

@@ -205,12 +205,12 @@ pub fn dag_comparison(
 ) -> Result<DagComparison, serverful::ExecError> {
     use metaspace::plan::{DeploymentPlan, PlanKind};
 
-    let stages = if smoke {
-        metaspace::pipeline::scaled_stages(spec, 0.02)
+    let w = if smoke {
+        metaspace::pipeline::scaled_workload(spec, 0.02)
     } else {
-        metaspace::pipeline::stages(spec)
+        metaspace::pipeline::job_workload(spec)
     };
-    let barrier_plan = DeploymentPlan::hybrid(&stages);
+    let barrier_plan = DeploymentPlan::hybrid(&w.stages);
     let PlanKind::Functions(f) = &barrier_plan.kind else {
         unreachable!("hybrid is a functions plan")
     };
@@ -222,11 +222,10 @@ pub fn dag_comparison(
         },
     );
     let cloud = cloudsim::CloudConfig::default;
-    let (barrier, _) =
-        metaspace::run_plan_stages(spec.name, &stages, &barrier_plan, seed, cloud(), false)?;
-    let (pipelined, _) =
-        metaspace::run_plan_stages(spec.name, &stages, &pipelined_plan, seed, cloud(), false)?;
-    let edges = metaspace::pipeline::edges(&stages)
+    let (barrier, _) = metaspace::run_workload(&w, &barrier_plan, seed, cloud(), false)?;
+    let (pipelined, _) = metaspace::run_workload(&w, &pipelined_plan, seed, cloud(), false)?;
+    let edges = w
+        .edges
         .iter()
         .enumerate()
         .flat_map(|(to, deps)| deps.iter().map(move |e| (e.from, to)))

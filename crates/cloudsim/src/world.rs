@@ -1161,17 +1161,22 @@ impl World {
     fn handle(&mut self, ev: Ev, now: SimTime) {
         match ev {
             Ev::StorageStart { op } => self.on_storage_start(op, now),
+            // A tick that fired is spent: drop its token first, so the
+            // reschedule does not cancel (and count) a fired event.
             Ev::StorageTick => {
+                self.st_tick = None;
                 self.st_collect(now);
                 self.st_reschedule(now);
             }
             Ev::VpcStart { op } => self.on_vpc_start(op, now),
             Ev::VpcTick => {
+                self.vpc_tick = None;
                 self.vpc_collect(now);
                 self.vpc_reschedule(now);
             }
             Ev::KvStart { op } => self.on_kv_start(op, now),
             Ev::KvTick { kv } => {
+                self.kvs[kv.index() as usize].tick = None;
                 self.kv_collect(kv, now);
                 self.kv_reschedule(kv, now);
             }

@@ -432,3 +432,38 @@ fn on_demand_runs_are_untouched_by_spot_knobs() {
     };
     assert_eq!(run(0.0), run(1.0));
 }
+
+#[test]
+fn drained_run_accounts_for_every_scheduled_event() {
+    // Storage, VPC and KV flows all re-arm their pool's completion
+    // tick; once the queue drains, every scheduled event has either
+    // fired or been cancelled, and none was counted twice.
+    let mut w = world();
+    let it = instance_type("c5.4xlarge").unwrap();
+    let vm = w.vm_provision(it, "vm");
+    run_until_vm_up(&mut w, vm);
+    let vm_host = w.vm_host(vm);
+    let client = w.client_host();
+    let kv = w.kv_create(vm);
+    let mut ops = Vec::new();
+    for i in 0..4u64 {
+        let size = 10_000_000 * (i + 1);
+        ops.push(w.put_object(client, "b", &format!("k{i}"), ObjectBody::opaque(size)));
+        ops.push(w.net_transfer(client, vm_host, size));
+        ops.push(w.kv_put(client, kv, &format!("k{i}"), ObjectBody::opaque(size)));
+    }
+    let mut remaining: std::collections::HashSet<OpId> = ops.into_iter().collect();
+    while let Some((_, n)) = w.step() {
+        if let Notify::Op { op, .. } = n {
+            remaining.remove(&op);
+        }
+    }
+    assert!(
+        remaining.is_empty(),
+        "{} ops never completed",
+        remaining.len()
+    );
+    let s = w.sched_stats();
+    assert!(s.cancelled > 0, "overlapping flows re-arm ticks: {s:?}");
+    assert_eq!(s.scheduled, s.fired + s.cancelled, "{s:?}");
+}

@@ -8,23 +8,17 @@
 //! [`planner::parallel_map`] and merges in index order, which makes the
 //! full report byte-identical for any `--threads`.
 //!
-//! Inside a cell, job lifecycles are futures on the deterministic async
-//! kernel ([`simkernel::aio`]): a barrier job `await`s its stages one
-//! after another; a pipelined job fans every stage's completion in
-//! through [`simkernel::join_all`]. A small reactor pumps the
-//! environment and feeds completions to those futures through exactly
-//! one [`serverful::FunctionExecutor::try_result`] dispatch
-//! (`CellState::scan_completions`) — barrier and pipelined cells share
-//! that single join path instead of the two hand-rolled poll loops the
-//! driver used to carry. Arrivals are
-//! [`serverful::CloudEnv::external_timer`]s that spawn a job future
-//! (spawn order = arrival order, the kernel's deterministic tie-break),
-//! and every stage submission still passes the [`Admission`]
-//! controller.
+//! Inside a cell, one plain loop pumps the environment. Arrivals are
+//! [`serverful::CloudEnv::external_timer`]s: the arriving job submits
+//! its first stage (barrier) or its gated FaaS stages (pipelined). After
+//! every other event the cell polls the stages of its unfinished jobs,
+//! in arrival order, through one
+//! [`serverful::FunctionExecutor::try_result`] dispatch: a drained
+//! barrier stage submits the job's next stage or finishes the job; a
+//! pipelined job finishes once all of its stages have drained. Every
+//! stage submission passes the [`Admission`] controller.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 use std::sync::Arc;
 
 use cloudsim::{CloudConfig, ObjectBody, World};
@@ -35,7 +29,7 @@ use serverful::{
     fan_in_range, Backend, CloudEnv, EnvEvent, ExecError, ExecutionMode, ExecutorConfig,
     FunctionExecutor, JobHandle, Payload, ScriptTask,
 };
-use simkernel::{join_all, AsyncExecutor, Gate, JoinHandle as AioJoinHandle, SimTime};
+use simkernel::SimTime;
 
 use crate::admission::Admission;
 use crate::arrivals::{self, Arrival};
@@ -158,13 +152,6 @@ pub(crate) enum Placement<'a> {
     /// (what-if evaluation of a [`metaspace::plan::DeploymentPlan`]
     /// under load).
     Plan(&'a [StageBackend], ExecutionMode),
-}
-
-/// Owned form of [`Placement`] (job futures need `'static` cell state;
-/// the execution mode is already folded into `pipelined`).
-enum CellPlacement {
-    Policy(Policy),
-    Plan(Vec<StageBackend>),
 }
 
 /// Runs every policy cell over the scenario's traffic and merges the
@@ -292,15 +279,11 @@ fn run_cell_traffic(
     );
     let pool =
         needs_pool.then(|| SharedPool::new(&mut env, &sc.pool, profile.map(|p| p.master_instance)));
-    let pipelined = sc.pipelined
-        || matches!(placement, Placement::Plan(_, ExecutionMode::Pipelined));
-    let placement = match placement {
-        Placement::Policy(p) => CellPlacement::Policy(p),
-        Placement::Plan(backends, _) => CellPlacement::Plan(backends.to_vec()),
-    };
+    let pipelined =
+        sc.pipelined || matches!(placement, Placement::Plan(_, ExecutionMode::Pipelined));
 
-    let mut state = CellState {
-        sc: sc.clone(),
+    let mut cell = Cell {
+        sc,
         placement,
         pipelined,
         env,
@@ -308,159 +291,17 @@ fn run_cell_traffic(
         pool,
         adm: Admission::new(sc.quotas.clone()),
         jobs: Vec::new(),
+        unfinished: Vec::new(),
         waiting: VecDeque::new(),
         arrival_tokens: HashMap::new(),
     };
     for a in arrivals {
         let delay = a.at.saturating_since(SimTime::ZERO);
-        let token = state.env.external_timer(delay);
-        state.arrival_tokens.insert(token, a.clone());
+        let token = cell.env.external_timer(delay);
+        cell.arrival_tokens.insert(token, a.clone());
     }
-    let cell = CellRef {
-        st: Rc::new(RefCell::new(state)),
-        exec: AsyncExecutor::new(),
-    };
-    reactor(&cell)?;
-    let CellRef { st, exec } = cell;
-    drop(exec); // all job futures completed; frees their state handles
-    let state = match Rc::try_unwrap(st) {
-        Ok(inner) => inner.into_inner(),
-        Err(_) => unreachable!("job futures outlive the cell reactor"),
-    };
-    Ok(state.into_outcome(label))
-}
-
-/// The cell's event loop: pump the world, feed stage completions to the
-/// job futures through the single join path, then let queued or gated
-/// submissions progress.
-fn reactor(cell: &CellRef) -> Result<(), ExecError> {
-    loop {
-        if cell.st.borrow().done() {
-            break;
-        }
-        let ev = cell.st.borrow_mut().env.pump();
-        match ev {
-            EnvEvent::Timer(token) => {
-                let a = cell
-                    .st
-                    .borrow_mut()
-                    .arrival_tokens
-                    .remove(&token)
-                    .expect("every external timer is an arrival");
-                spawn_job(cell, &a);
-                cell.exec.run_ready();
-                cell.st.borrow_mut().progress_stages()?;
-            }
-            EnvEvent::Progress => {
-                cell.st.borrow_mut().scan_completions()?;
-                cell.exec.run_ready();
-                cell.st.borrow_mut().progress_stages()?;
-            }
-            EnvEvent::Drained => {
-                cell.st.borrow_mut().scan_completions()?;
-                cell.exec.run_ready();
-                let progressed = cell.st.borrow_mut().progress_stages()?;
-                let st = cell.st.borrow();
-                if st.done() {
-                    break;
-                }
-                if !progressed {
-                    return Err(ExecError::Stalled(format!(
-                        "fleet cell drained with {} jobs unfinished",
-                        st.jobs.iter().filter(|j| j.finished.is_none()).count()
-                    )));
-                }
-            }
-        }
-    }
-    let st = &mut *cell.st.borrow_mut();
-    if let Some(pool) = st.pool.as_mut() {
-        pool.shutdown(&mut st.env);
-    }
-    Ok(())
-}
-
-/// Registers an arriving job and spawns its lifecycle future. The
-/// future's first poll (still within the arrival event) submits the
-/// job's first stage (barrier) or its gated FaaS stages (pipelined).
-fn spawn_job(cell: &CellRef, a: &Arrival) {
-    let (idx, gates, pipelined) = {
-        let stref = &mut *cell.st.borrow_mut();
-        let tenant = &stref.sc.tenants[a.tenant];
-        let idx = stref.jobs.len();
-        let w = tenant.workload();
-        let stages = w.stages;
-        let (edges, pipe) = if stref.pipelined {
-            let edges = w.edges;
-            let pipe = stages
-                .iter()
-                .map(|s| PipeStage {
-                    handle: None,
-                    complete: false,
-                    released: vec![false; s.tasks],
-                    throttle_noted: false,
-                })
-                .collect();
-            (edges, pipe)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let gates: Vec<Gate> = stages.iter().map(|_| cell.exec.gate()).collect();
-        let name = a.job_name(&stref.sc);
-        let arrived = stref.env.now();
-        stref.jobs.push(JobRun {
-            tenant: a.tenant,
-            name,
-            stages,
-            edges,
-            next_stage: 0,
-            arrived,
-            finished: None,
-            active: None,
-            pipe,
-            stage_done: gates.clone(),
-            own: None,
-        });
-        (idx, gates, stref.pipelined)
-    };
-    let cell = cell.clone();
-    cell.exec.clone().spawn(job_future(cell, idx, gates, pipelined));
-}
-
-/// One job's lifecycle as straight-line `await` code.
-async fn job_future(cell: CellRef, idx: usize, gates: Vec<Gate>, pipelined: bool) {
-    if pipelined {
-        {
-            // Every always-FaaS stage submits up front with its tasks
-            // gated: setup overlaps upstream work, tasks launch one by
-            // one as their upstream partitions (and the Lambda quota)
-            // allow. Pool/own stages launch from `pipe_pass` once their
-            // dependencies drain.
-            let st = &mut *cell.st.borrow_mut();
-            for s in 0..st.jobs[idx].stages.len() {
-                if st.faas_always(s) {
-                    st.submit_stage(idx, s, ExecSlot::Faas, true);
-                }
-            }
-        }
-        // Fan every stage's completion in through the one join path.
-        let stage_waits: Vec<AioJoinHandle<()>> = gates
-            .iter()
-            .map(|g| {
-                let g = g.clone();
-                cell.exec.spawn(async move { g.wait().await })
-            })
-            .collect();
-        join_all(stage_waits).await;
-    } else {
-        // The barrier chain: submit (or queue on admission), then block
-        // until the stage drains, stage after stage.
-        for gate in &gates {
-            cell.st.borrow_mut().advance_or_wait(idx);
-            gate.wait().await;
-        }
-    }
-    cell.st.borrow_mut().finish_job(idx);
+    cell.run()?;
+    Ok(cell.into_outcome(label))
 }
 
 /// Where a stage runs.
@@ -501,24 +342,14 @@ struct JobRun {
     active: Option<(JobHandle, ExecSlot)>,
     /// Per-stage dataflow state (pipelined cells only).
     pipe: Vec<PipeStage>,
-    /// Per-stage completion gates the job future awaits; opened by
-    /// [`CellState::scan_completions`].
-    stage_done: Vec<Gate>,
     /// The per-job fleet executor ([`Policy::PerJobFleet`] only).
     own: Option<FunctionExecutor>,
 }
 
-/// Shared handle to one cell: its state plus the async kernel the job
-/// futures run on.
-#[derive(Clone)]
-struct CellRef {
-    st: Rc<RefCell<CellState>>,
-    exec: AsyncExecutor,
-}
-
-struct CellState {
-    sc: Scenario,
-    placement: CellPlacement,
+/// One policy cell: its environment, executors and jobs.
+struct Cell<'a> {
+    sc: &'a Scenario,
+    placement: Placement<'a>,
     /// Dependency-driven scheduling instead of BSP barriers.
     pipelined: bool,
     env: CloudEnv,
@@ -526,6 +357,10 @@ struct CellState {
     pool: Option<SharedPool>,
     adm: Admission,
     jobs: Vec<JobRun>,
+    /// Indices of the jobs that arrived and have not finished, ascending
+    /// (arrival order): the only jobs a scan visits. Arrivals append the
+    /// largest index; a scan that finished jobs drops them afterwards.
+    unfinished: Vec<usize>,
     /// Jobs whose next stage awaits quota headroom, FIFO (barrier cells
     /// only; pipelined cells rescan in job order instead).
     waiting: VecDeque<usize>,
@@ -533,14 +368,96 @@ struct CellState {
     arrival_tokens: HashMap<u64, Arrival>,
 }
 
-impl CellState {
+impl Cell<'_> {
     fn done(&self) -> bool {
-        self.arrival_tokens.is_empty()
-            && self.waiting.is_empty()
-            && self.jobs.iter().all(|j| j.finished.is_some())
+        self.arrival_tokens.is_empty() && self.unfinished.is_empty()
     }
 
-    /// Stamps a job finished (its future ran out of stages to await).
+    /// The cell's event loop: pump the world, move jobs whose stages
+    /// drained, then let queued or gated submissions progress.
+    fn run(&mut self) -> Result<(), ExecError> {
+        while !self.done() {
+            match self.env.pump() {
+                EnvEvent::Timer(token) => {
+                    let a = self
+                        .arrival_tokens
+                        .remove(&token)
+                        .expect("every external timer is an arrival");
+                    self.arrive(&a);
+                    self.progress_stages();
+                }
+                EnvEvent::Progress => {
+                    self.scan_stages()?;
+                    self.progress_stages();
+                }
+                EnvEvent::Drained => {
+                    self.scan_stages()?;
+                    let progressed = self.progress_stages();
+                    if !self.done() && !progressed {
+                        return Err(ExecError::Stalled(format!(
+                            "fleet cell drained with {} jobs unfinished",
+                            self.unfinished.len()
+                        )));
+                    }
+                }
+            }
+        }
+        if let Some(pool) = self.pool.as_mut() {
+            pool.shutdown(&mut self.env);
+        }
+        Ok(())
+    }
+
+    /// Registers an arriving job and submits its first stage (barrier)
+    /// or its gated FaaS stages (pipelined).
+    fn arrive(&mut self, a: &Arrival) {
+        let idx = self.jobs.len();
+        let w = self.sc.tenants[a.tenant].workload();
+        let (edges, pipe) = if self.pipelined {
+            let pipe = w
+                .stages
+                .iter()
+                .map(|s| PipeStage {
+                    handle: None,
+                    complete: false,
+                    released: vec![false; s.tasks],
+                    throttle_noted: false,
+                })
+                .collect();
+            (w.edges, pipe)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        self.jobs.push(JobRun {
+            tenant: a.tenant,
+            name: a.job_name(self.sc),
+            stages: w.stages,
+            edges,
+            next_stage: 0,
+            arrived: self.env.now(),
+            finished: None,
+            active: None,
+            pipe,
+            own: None,
+        });
+        self.unfinished.push(idx);
+        if self.pipelined {
+            // Every always-FaaS stage submits up front with its tasks
+            // gated: setup overlaps upstream work, tasks launch one by
+            // one as their upstream partitions (and the Lambda quota)
+            // allow. Pool/own stages launch from `pipe_pass` once their
+            // dependencies drain.
+            for s in 0..self.jobs[idx].stages.len() {
+                if self.faas_always(s) {
+                    self.submit_stage(idx, s, ExecSlot::Faas, true);
+                }
+            }
+        } else {
+            self.advance_or_wait(idx);
+        }
+    }
+
+    /// Stamps a job finished and tears down its own fleet, if any.
     fn finish_job(&mut self, idx: usize) {
         self.jobs[idx].finished = Some(self.env.now());
         if let Some(mut own) = self.jobs[idx].own.take() {
@@ -573,28 +490,36 @@ impl CellState {
         }
     }
 
-    /// Polls every in-flight stage (jobs in arrival order, stages in
-    /// pipeline order) and opens the completion gate of each stage that
-    /// drained; the job futures take it from there.
-    fn scan_completions(&mut self) -> Result<(), ExecError> {
-        for idx in 0..self.jobs.len() {
+    /// Polls the in-flight stages of every unfinished job (arrival
+    /// order, stages in pipeline order). A drained barrier stage submits
+    /// the job's next stage, or finishes the job after its last; a
+    /// pipelined job finishes once every stage has drained.
+    fn scan_stages(&mut self) -> Result<(), ExecError> {
+        let mut finished = false;
+        let mut cursor = 0;
+        while let Some(&idx) = self.unfinished.get(cursor) {
+            cursor += 1;
             if self.pipelined {
-                if self.jobs[idx].finished.is_some() {
-                    continue;
-                }
+                let mut all_complete = true;
                 for s in 0..self.jobs[idx].stages.len() {
                     if self.jobs[idx].pipe[s].complete {
                         continue;
                     }
-                    let Some((handle, slot)) = self.jobs[idx].pipe[s].handle else {
-                        continue;
+                    let result = match self.jobs[idx].pipe[s].handle {
+                        Some((handle, slot)) => self.try_stage_result(idx, handle, slot),
+                        None => None,
                     };
-                    let Some(result) = self.try_stage_result(idx, handle, slot) else {
-                        continue;
-                    };
-                    result?;
-                    self.jobs[idx].pipe[s].complete = true;
-                    self.jobs[idx].stage_done[s].open();
+                    match result {
+                        Some(result) => {
+                            result?;
+                            self.jobs[idx].pipe[s].complete = true;
+                        }
+                        None => all_complete = false,
+                    }
+                }
+                if all_complete {
+                    self.finish_job(idx);
+                    finished = true;
                 }
             } else {
                 let Some((handle, slot)) = self.jobs[idx].active else {
@@ -605,17 +530,25 @@ impl CellState {
                 };
                 result?;
                 self.jobs[idx].active = None;
-                let s = self.jobs[idx].next_stage;
                 self.jobs[idx].next_stage += 1;
-                self.jobs[idx].stage_done[s].open();
+                if self.jobs[idx].next_stage < self.jobs[idx].stages.len() {
+                    self.advance_or_wait(idx);
+                } else {
+                    self.finish_job(idx);
+                    finished = true;
+                }
             }
+        }
+        if finished {
+            let jobs = &self.jobs;
+            self.unfinished.retain(|&j| jobs[j].finished.is_none());
         }
         Ok(())
     }
 
     /// Makes queued or gated stages progress after any event, whichever
     /// scheduling discipline the cell runs.
-    fn progress_stages(&mut self) -> Result<bool, ExecError> {
+    fn progress_stages(&mut self) -> bool {
         if self.pipelined {
             self.pipe_pass()
         } else {
@@ -626,10 +559,10 @@ impl CellState {
     /// Whether a stage's placement is unconditionally cloud functions
     /// (eligible for gated submission and task-granular release).
     fn faas_always(&self, stage_idx: usize) -> bool {
-        match &self.placement {
-            CellPlacement::Policy(Policy::Serverless) => true,
-            CellPlacement::Policy(_) => false,
-            CellPlacement::Plan(backends) => backends[stage_idx] == StageBackend::Functions,
+        match self.placement {
+            Placement::Policy(Policy::Serverless) => true,
+            Placement::Policy(_) => false,
+            Placement::Plan(backends, _) => backends[stage_idx] == StageBackend::Functions,
         }
     }
 
@@ -645,7 +578,7 @@ impl CellState {
     /// Re-attempts queued submissions in FIFO order, stopping at the
     /// first that still does not fit (head-of-line, like a real
     /// admission queue). Returns whether anything was admitted.
-    fn drain_waiting(&mut self) -> Result<bool, ExecError> {
+    fn drain_waiting(&mut self) -> bool {
         let mut progressed = false;
         while let Some(&idx) = self.waiting.front() {
             if !self.try_advance(idx, self.jobs[idx].next_stage) {
@@ -654,7 +587,7 @@ impl CellState {
             self.waiting.pop_front();
             progressed = true;
         }
-        Ok(progressed)
+        progressed
     }
 
     /// One dependency-driven scheduling pass: launches pool/own stages
@@ -663,13 +596,12 @@ impl CellState {
     /// individually admitted against the Lambda quota. Deterministic:
     /// jobs in arrival order, stages in pipeline order, tasks in index
     /// order. Returns whether anything launched or released.
-    fn pipe_pass(&mut self) -> Result<bool, ExecError> {
+    fn pipe_pass(&mut self) -> bool {
         let mut progressed = false;
         let mut released_now = 0usize;
-        for idx in 0..self.jobs.len() {
-            if self.jobs[idx].finished.is_some() {
-                continue;
-            }
+        let mut cursor = 0;
+        while let Some(&idx) = self.unfinished.get(cursor) {
+            cursor += 1;
             for s in 0..self.jobs[idx].stages.len() {
                 if self.jobs[idx].pipe[s].complete {
                     continue;
@@ -694,7 +626,7 @@ impl CellState {
                 }
             }
         }
-        Ok(progressed)
+        progressed
     }
 
     /// Releases every gated task of stage `s` whose upstream partitions
@@ -756,12 +688,12 @@ impl CellState {
         });
         let stateful = self.jobs[idx].stages[stage_idx].is_stateful();
         let tasks = self.jobs[idx].stages[stage_idx].tasks;
-        let wants_pool = match &self.placement {
-            CellPlacement::Policy(Policy::Serverless) => false,
-            CellPlacement::Policy(Policy::PerJobFleet) => {
+        let wants_pool = match self.placement {
+            Placement::Policy(Policy::Serverless) => false,
+            Placement::Policy(Policy::PerJobFleet) => {
                 return self.try_advance_own(idx, stage_idx);
             }
-            CellPlacement::Policy(Policy::SharedPool) => {
+            Placement::Policy(Policy::SharedPool) => {
                 // The pool is home; a stateless stage *degrades* to
                 // cloud functions when every executor is busy and the
                 // Lambda quota still has headroom (burst capacity).
@@ -779,7 +711,7 @@ impl CellState {
                 }
                 true
             }
-            CellPlacement::Plan(backends) => backends[stage_idx] == StageBackend::Serverful,
+            Placement::Plan(backends, _) => backends[stage_idx] == StageBackend::Serverful,
         };
         if wants_pool {
             let lease = self
@@ -946,7 +878,7 @@ impl CellState {
                 tenant: j.tenant,
                 name: j.name,
                 arrived: j.arrived,
-                finished: j.finished.expect("the reactor completes every job"),
+                finished: j.finished.expect("the cell loop completes every job"),
             })
             .collect();
         PolicyOutcome {

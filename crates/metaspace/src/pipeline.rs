@@ -177,6 +177,18 @@ mod tests {
     }
 
     #[test]
+    fn name_matched_edges_equal_each_job_workloads_own_edges() {
+        // Callers that moved from name-matched edges onto the
+        // workload's own edges must see the same graph.
+        for job in jobs::all() {
+            let w = job_workload(&job);
+            assert_eq!(edges(&w.stages), w.edges, "{}", job.name);
+            let small = scaled_workload(&job, 0.02);
+            assert_eq!(edges(&small.stages), small.edges, "{} scaled", job.name);
+        }
+    }
+
+    #[test]
     fn elasticity_spans_orders_of_magnitude() {
         // "parallelism of a workload ranges from modestly parallel stages
         // to massive concurrency".

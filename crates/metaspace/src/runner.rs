@@ -11,9 +11,10 @@
 //!
 //! The three architectures are *named plans*
 //! ([`DeploymentPlan::for_architecture`]): [`run_annotation`] builds the
-//! corresponding plan and hands it to [`run_plan_stages`], the single
+//! corresponding plan and hands it to [`run_workload`], the single
 //! execution path every deployment — hand-picked or planner-found —
-//! flows through.
+//! flows through. [`run_workload_chaos`] is the same path with master
+//! kills armed.
 //!
 //! Each run happens in a fresh simulated region and reports wall time,
 //! cost, per-stage spans (Figure 2) and CPU-utilisation statistics
@@ -28,7 +29,7 @@ use cloudsim::{CloudConfig, InstanceType, ObjectBody, World};
 use clustersim::{ClusterConfig, ClusterEngine, StageDef};
 use serverful::executor::MapOptions;
 use serverful::{
-    run_dag_async, Backend, CloudEnv, Dag, DagNode, Edge, ExecError, ExecMode, ExecutorConfig,
+    run_dag, Backend, CloudEnv, Dag, DagNode, Edge, ExecError, ExecMode, ExecutorConfig,
     FunctionExecutor, Payload, RecoveryMode, RecoveryStats, RetryPolicy, ScriptTask, SizingPolicy,
 };
 use shuffle::tasks::Exchange;
@@ -123,7 +124,9 @@ pub struct TraceOutput {
     pub summary: String,
 }
 
-/// Runs one job on one architecture in a fresh simulated region.
+/// Runs one job on one architecture in a fresh, default-configured
+/// simulated region: the paper-table shorthand for [`run_workload`]
+/// over [`pipeline::job_workload`] and the architecture's named plan.
 ///
 /// # Errors
 ///
@@ -134,140 +137,32 @@ pub fn run_annotation(
     arch: Architecture,
     seed: u64,
 ) -> Result<AnnotationReport, ExecError> {
-    run_annotation_with(job, arch, seed, CloudConfig::default())
-}
-
-/// Like [`run_annotation`], but over an explicit cloud configuration —
-/// chaos experiments inject faults by enabling `cloud.faults`.
-///
-/// # Errors
-///
-/// Propagates executor failures, including exhausted retry budgets
-/// under fault injection.
-pub fn run_annotation_with(
-    job: &JobSpec,
-    arch: Architecture,
-    seed: u64,
-    cloud: CloudConfig,
-) -> Result<AnnotationReport, ExecError> {
-    let stages = pipeline::stages(job);
-    let plan = DeploymentPlan::for_architecture(arch, &stages);
-    run_plan_stages(job.name, &stages, &plan, seed, cloud, false).map(|(r, _)| r)
-}
-
-/// Like [`run_annotation`], but with span tracing on: also returns the
-/// run's deterministic Chrome trace JSON and a text summary.
-///
-/// The trace covers the measured window (pipeline stage spans, job and
-/// task-attempt spans, cold starts, VM lifecycles, storage transfers and
-/// fault/retry instants). The cluster architecture records the coarser
-/// world-level spans only.
-///
-/// # Errors
-///
-/// Propagates executor failures, like [`run_annotation`].
-pub fn run_annotation_traced(
-    job: &JobSpec,
-    arch: Architecture,
-    seed: u64,
-    cloud: CloudConfig,
-) -> Result<(AnnotationReport, TraceOutput), ExecError> {
-    let stages = pipeline::stages(job);
-    let plan = DeploymentPlan::for_architecture(arch, &stages);
-    let (r, t) = run_plan_stages(job.name, &stages, &plan, seed, cloud, true)?;
-    Ok((r, t.expect("traced run returns a trace")))
-}
-
-/// Runs one Table 2 job under an arbitrary [`DeploymentPlan`] in a
-/// fresh, default-configured simulated region.
-///
-/// # Errors
-///
-/// Propagates executor failures and rejects malformed plans (backend
-/// list not matching the stage graph, unknown instance types).
-pub fn run_plan(
-    job: &JobSpec,
-    plan: &DeploymentPlan,
-    seed: u64,
-) -> Result<AnnotationReport, ExecError> {
-    run_plan_with(job, plan, seed, CloudConfig::default())
-}
-
-/// Like [`run_plan`], but over an explicit cloud configuration.
-///
-/// # Errors
-///
-/// Propagates executor failures and rejects malformed plans.
-pub fn run_plan_with(
-    job: &JobSpec,
-    plan: &DeploymentPlan,
-    seed: u64,
-    cloud: CloudConfig,
-) -> Result<AnnotationReport, ExecError> {
-    let stages = pipeline::stages(job);
-    run_plan_stages(job.name, &stages, plan, seed, cloud, false).map(|(r, _)| r)
-}
-
-/// The general entry point: runs an arbitrary stage graph under an
-/// arbitrary plan. `label` names the run in the report; `trace` also
-/// records a span trace (returned as the second element).
-///
-/// This is the one execution path for every deployment: the three named
-/// architectures, planner candidates, and toy stage graphs
-/// (`examples/plan_search.rs`) all flow through here.
-///
-/// # Errors
-///
-/// Propagates executor failures and rejects malformed plans.
-pub fn run_plan_stages(
-    label: &str,
-    stages: &[Stage],
-    plan: &DeploymentPlan,
-    seed: u64,
-    cloud: CloudConfig,
-    trace: bool,
-) -> Result<(AnnotationReport, Option<TraceOutput>), ExecError> {
-    run_plan_graph(label, stages, &pipeline::edges(stages), plan, seed, cloud, trace)
-}
-
-/// [`run_plan_stages`] with explicit dataflow edges instead of the
-/// METASPACE name-matched ones — the compilation target every workload
-/// description lowers to. `edges` must align index-for-index with
-/// `stages` and point only at earlier stages. Cluster plans execute the
-/// stage list as a barrier chain and ignore the edges.
-///
-/// # Errors
-///
-/// Propagates executor failures and rejects malformed plans or
-/// misaligned/non-topological edges.
-pub fn run_plan_graph(
-    label: &str,
-    stages: &[Stage],
-    edges: &[Vec<StageEdge>],
-    plan: &DeploymentPlan,
-    seed: u64,
-    cloud: CloudConfig,
-    trace: bool,
-) -> Result<(AnnotationReport, Option<TraceOutput>), ExecError> {
-    validate_plan(stages, plan)?;
-    validate_edges(stages, edges)?;
-    match &plan.kind {
-        PlanKind::Functions(f) => {
-            run_functions_plan(label, stages, edges, f, seed, cloud, trace, &[])
-                .map(|(r, t, _)| (r, t))
-        }
-        PlanKind::Cluster(c) => Ok(run_cluster_plan(label, stages, c, seed, cloud, trace)),
-    }
+    let w = pipeline::job_workload(job);
+    let plan = DeploymentPlan::for_architecture(arch, &w.stages);
+    run_workload(&w, &plan, seed, CloudConfig::default(), false).map(|(r, _)| r)
 }
 
 /// Runs a full [`Workload`] description — validated, then compiled to
-/// the stage DAG with the workload's own dataflow edges — under a plan.
-/// The workload's name labels the report.
+/// the stage DAG with the workload's own dataflow edges — under a plan,
+/// in a fresh simulated region built from `cloud` (chaos experiments
+/// inject faults by enabling `cloud.faults`). The workload's name
+/// labels the report; `trace` also records a span trace (returned as
+/// the second element).
+///
+/// This is the one execution path for every deployment: the three named
+/// architectures, planner candidates, and toy stage graphs
+/// (`examples/plan_search.rs`) all flow through here. The trace covers
+/// the measured window (pipeline stage spans, job and task-attempt
+/// spans, cold starts, VM lifecycles, storage transfers and fault/retry
+/// instants); cluster plans execute the stage list as a barrier chain,
+/// ignore the edges, and record the coarser world-level spans only.
 ///
 /// # Errors
 ///
-/// Rejects invalid workloads and malformed plans; propagates executor
-/// failures.
+/// Rejects invalid workloads and malformed plans (backend list not
+/// matching the stage graph, unknown instance types); propagates
+/// executor failures, including exhausted retry budgets under fault
+/// injection.
 pub fn run_workload(
     w: &Workload,
     plan: &DeploymentPlan,
@@ -275,9 +170,13 @@ pub fn run_workload(
     cloud: CloudConfig,
     trace: bool,
 ) -> Result<(AnnotationReport, Option<TraceOutput>), ExecError> {
-    w.validate()
-        .map_err(|e| ExecError::Unsupported(e.to_string()))?;
-    run_plan_graph(&w.name, &w.stages, &w.edges, plan, seed, cloud, trace)
+    validate(w, plan)?;
+    match &plan.kind {
+        PlanKind::Functions(f) => {
+            run_functions_plan(w, f, seed, cloud, trace, &[]).map(|(r, t, _)| (r, t))
+        }
+        PlanKind::Cluster(c) => Ok(run_cluster_plan(w, c, seed, cloud, trace)),
+    }
 }
 
 /// Extra observability a chaos run returns alongside its report.
@@ -296,7 +195,7 @@ pub struct ChaosReport {
     pub science_digest: u64,
 }
 
-/// [`run_plan_stages`] plus master-kill chaos injection:
+/// [`run_workload`] plus master-kill chaos injection:
 /// the serverful pool's master VM is killed when the executor's
 /// routed-event counter passes each offset in `kills` (offsets are
 /// relative to the start of the measured window, after warm-up). What
@@ -310,22 +209,19 @@ pub struct ChaosReport {
 /// # Errors
 ///
 /// Propagates executor failures — including the stall a protected-mode
-/// master kill is expected to cause — and rejects malformed or cluster
-/// plans.
-pub fn run_plan_stages_chaos(
-    label: &str,
-    stages: &[Stage],
+/// master kill is expected to cause — and rejects invalid workloads,
+/// malformed plans and cluster plans.
+pub fn run_workload_chaos(
+    w: &Workload,
     plan: &DeploymentPlan,
     seed: u64,
     cloud: CloudConfig,
     kills: &[u64],
 ) -> Result<(AnnotationReport, ChaosReport), ExecError> {
-    validate_plan(stages, plan)?;
-    let edges = pipeline::edges(stages);
+    validate(w, plan)?;
     match &plan.kind {
         PlanKind::Functions(f) => {
-            run_functions_plan(label, stages, &edges, f, seed, cloud, false, kills)
-                .map(|(r, _, c)| (r, c))
+            run_functions_plan(w, f, seed, cloud, false, kills).map(|(r, _, c)| (r, c))
         }
         PlanKind::Cluster(_) => Err(ExecError::Unsupported(
             "master-kill chaos targets the serverful master; cluster plans have none".into(),
@@ -333,27 +229,12 @@ pub fn run_plan_stages_chaos(
     }
 }
 
-/// Rejects dataflow edges the lowering cannot honour: one edge list per
-/// stage, each pointing only at earlier stages.
-fn validate_edges(stages: &[Stage], edges: &[Vec<StageEdge>]) -> Result<(), ExecError> {
-    if edges.len() != stages.len() {
-        return Err(ExecError::Unsupported(format!(
-            "{} stages but {} edge lists; they must align index-for-index",
-            stages.len(),
-            edges.len()
-        )));
-    }
-    for (i, deps) in edges.iter().enumerate() {
-        for e in deps {
-            if e.from >= i {
-                return Err(ExecError::Unsupported(format!(
-                    "edge into stage {i} from {} is not topological",
-                    e.from
-                )));
-            }
-        }
-    }
-    Ok(())
+/// Rejects invalid workloads and plans the execution path cannot
+/// honour.
+fn validate(w: &Workload, plan: &DeploymentPlan) -> Result<(), ExecError> {
+    w.validate()
+        .map_err(|e| ExecError::Unsupported(e.to_string()))?;
+    validate_plan(&w.stages, plan)
 }
 
 /// Rejects plans the execution path cannot honour.
@@ -444,17 +325,15 @@ fn ledger_waste(world: &World) -> f64 {
 // Cloud-function / hybrid / serverful path
 // ----------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
 fn run_functions_plan(
-    label: &str,
-    stages: &[Stage],
-    edges: &[Vec<StageEdge>],
+    w: &Workload,
     plan: &FunctionsPlan,
     seed: u64,
     cloud: CloudConfig,
     trace: bool,
     kills: &[u64],
 ) -> Result<(AnnotationReport, Option<TraceOutput>, ChaosReport), ExecError> {
+    let stages = &w.stages;
     let retry = RetryPolicy {
         max_attempts: plan.max_attempts,
         ..RetryPolicy::default()
@@ -579,11 +458,18 @@ fn run_functions_plan(
     // drained — byte-identical to the pre-dataflow runner); Pipelined
     // releases downstream partitions as their upstream dependencies
     // complete.
-    let dag = build_stage_dag(stages, edges, plan, &sizing, planned_itype, vm_workers, seed, exchange);
-    let ctx = StageCtx { faas, vm };
-    let (env_back, ctx, result) = run_dag_async(env, ctx, dag, plan.execution);
-    env = env_back;
-    result?;
+    let dag = build_stage_dag(
+        stages,
+        &w.edges,
+        plan,
+        &sizing,
+        planned_itype,
+        vm_workers,
+        seed,
+        exchange,
+    );
+    let mut ctx = StageCtx { faas, vm };
+    run_dag(&mut env, &mut ctx, dag, plan.execution)?;
     if let Some(mut vm_exec) = ctx.vm {
         vm_exec.shutdown(&mut env);
     }
@@ -598,7 +484,7 @@ fn run_functions_plan(
         &env.timeline().stateful_windows(),
     );
     let report = AnnotationReport {
-        job: label.to_owned(),
+        job: w.name.clone(),
         arch: if plan.uses_serverful() {
             Architecture::Hybrid
         } else {
@@ -960,8 +846,7 @@ fn summarise(
 // ----------------------------------------------------------------------
 
 fn run_cluster_plan(
-    label: &str,
-    stages: &[Stage],
+    w: &Workload,
     plan: &ClusterPlan,
     seed: u64,
     cloud: CloudConfig,
@@ -978,6 +863,7 @@ fn run_cluster_plan(
     };
     let mut cluster = ClusterEngine::provision(&mut world, cluster_cfg);
     let start = world.now();
+    let stages = &w.stages;
     let defs: Vec<StageDef> = stages.iter().map(cluster_stage).collect();
     let report = cluster.run(&mut world, &defs);
     let end = world.now();
@@ -1006,7 +892,7 @@ fn run_cluster_plan(
         &report.timeline.stateful_windows(),
     );
     let annotation = AnnotationReport {
-        job: label.to_owned(),
+        job: w.name.clone(),
         arch: Architecture::Cluster,
         wall_secs: report.wall_secs,
         cost_usd: report.cost_usd,

@@ -4,7 +4,7 @@ use cloudsim::CloudConfig;
 use metaspace::jobs::JobSpec;
 use metaspace::pipeline::{self, Stage, StageEdge, Workload};
 use metaspace::plan::DeploymentPlan;
-use metaspace::runner::run_plan_graph;
+use metaspace::runner::run_workload;
 use serverful::ExecError;
 
 /// The measured objectives of one plan: what the search engine trades
@@ -98,15 +98,12 @@ impl Evaluator {
     /// budgets under fault injection). The search engine skips failed
     /// candidates rather than aborting.
     pub fn evaluate(&self, plan: &DeploymentPlan) -> Result<PlanOutcome, ExecError> {
-        let (report, _) = run_plan_graph(
-            &self.label,
-            &self.stages,
-            &self.edges,
-            plan,
-            self.seed,
-            self.cloud.clone(),
-            false,
-        )?;
+        let w = Workload {
+            name: self.label.clone(),
+            stages: self.stages.clone(),
+            edges: self.edges.clone(),
+        };
+        let (report, _) = run_workload(&w, plan, self.seed, self.cloud.clone(), false)?;
         Ok(PlanOutcome {
             plan: plan.clone(),
             cost_usd: report.cost_usd,

@@ -23,11 +23,20 @@
 //!   FaaS tasks launch immediately; serverful tasks enqueue on the
 //!   already-warm worker pool.
 //!
+//! [`run_dag`] is a plain loop over [`CloudEnv`]: a barrier launches a
+//! node and blocks in [`CloudEnv`]'s own drive loop until it drains;
+//! the pipelined loop pumps one notification, observes completions in
+//! node order, then releases ready tasks in node order. Nodes are
+//! submitted in topological order and every edge points at an earlier
+//! node, so each pass is a fixed scan: same env call sequence, same
+//! span-id allocation order, byte-identical tables, traces and billing
+//! across repeat runs (asserted by `tests/equivalence.rs`).
+//!
 //! The launch closures own backend choice and input seeding; the DAG
 //! only sequences them. See `metaspace::runner` for the full pipeline
 //! lowering and `examples/dag_pipeline.rs` for a standalone example.
 
-use crate::env::CloudEnv;
+use crate::env::{CloudEnv, EnvEvent};
 use crate::error::ExecError;
 use crate::executor::JobHandle;
 use simkernel::SimTime;
@@ -205,12 +214,6 @@ impl<C> Dag<C> {
         self.nodes.is_empty()
     }
 
-    /// Mutable access to node `idx` (the async driver runs launch
-    /// closures through this).
-    pub(crate) fn node_mut(&mut self, idx: usize) -> &mut DagNode<C> {
-        &mut self.nodes[idx]
-    }
-
     /// The upstream task indices task `t` of node `v` waits on through
     /// `edge`, as a half-open range over the upstream node's tasks.
     #[cfg(test)]
@@ -219,8 +222,7 @@ impl<C> Dag<C> {
     }
 }
 
-/// Per-node scheduling telemetry from a [`crate::run_dag_async`]
-/// execution.
+/// Per-node scheduling telemetry from a [`run_dag`] execution.
 #[derive(Debug, Clone)]
 pub struct NodeStats {
     /// The node's label.
@@ -248,12 +250,7 @@ pub struct DagStats {
 }
 
 /// Begins the trace span of a group when `node` is its first member.
-pub(crate) fn maybe_begin_group_span<C>(
-    env: &mut CloudEnv,
-    dag: &Dag<C>,
-    node: usize,
-    open: &mut [SpanId],
-) {
+fn maybe_begin_group_span<C>(env: &mut CloudEnv, dag: &Dag<C>, node: usize, open: &mut [SpanId]) {
     let Some(g) = dag.nodes[node].group else {
         return;
     };
@@ -274,12 +271,7 @@ pub(crate) fn maybe_begin_group_span<C>(
 }
 
 /// Ends a group's span once its last member node finished.
-pub(crate) fn maybe_end_group_span<C>(
-    env: &mut CloudEnv,
-    dag: &Dag<C>,
-    node: usize,
-    open: &mut [SpanId],
-) {
+fn maybe_end_group_span<C>(env: &mut CloudEnv, dag: &Dag<C>, node: usize, open: &mut [SpanId]) {
     let Some(g) = dag.nodes[node].group else {
         return;
     };
@@ -293,6 +285,230 @@ pub(crate) fn maybe_end_group_span<C>(
     let now = env.now();
     env.world_mut().tracer_mut().end(open[g], now);
     open[g] = SpanId::NONE;
+}
+
+/// Executes the graph over `env`, drawing executors from `ctx`.
+/// Consumes the DAG (launch closures are `FnMut` run once each).
+///
+/// In [`ExecutionMode::Barrier`] nodes run strictly one after another —
+/// the degenerate DAG — reproducing the classic stage-chained executor
+/// byte-for-byte (identical storage/compute call sequence, so golden
+/// traces are unchanged). In [`ExecutionMode::Pipelined`] all nodes
+/// submit up front gated and tasks are released as their dependencies
+/// complete.
+///
+/// When tracing is enabled, each group opens a `stage` span covering
+/// its nodes; in pipelined mode each job span additionally carries a
+/// `deps` attribute naming its upstream nodes (spans parented on DAG
+/// edges).
+///
+/// # Errors
+///
+/// Propagates the first node failure or a drained (stalled) world.
+pub fn run_dag<C>(
+    env: &mut CloudEnv,
+    ctx: &mut C,
+    mut dag: Dag<C>,
+    mode: ExecutionMode,
+) -> Result<DagStats, ExecError> {
+    match mode {
+        ExecutionMode::Barrier => run_barrier(env, ctx, &mut dag),
+        ExecutionMode::Pipelined => run_pipelined(env, ctx, &mut dag),
+    }
+}
+
+/// Launches each node, then drives the environment until it drains.
+fn run_barrier<C>(
+    env: &mut CloudEnv,
+    ctx: &mut C,
+    dag: &mut Dag<C>,
+) -> Result<DagStats, ExecError> {
+    let mut open = vec![SpanId::NONE; dag.groups.len()];
+    let mut nodes = Vec::with_capacity(dag.len());
+    for v in 0..dag.len() {
+        maybe_begin_group_span(env, dag, v, &mut open);
+        if let Some(g) = dag.nodes[v].group {
+            env.set_job_parent(open[g]);
+        }
+        let launched_at = env.now();
+        let handle = (dag.nodes[v].launch)(ctx, env, false)?;
+        let tasks = handle.total_tasks(env);
+        let result = env.run_job(handle.id);
+        env.set_job_parent(SpanId::NONE);
+        maybe_end_group_span(env, dag, v, &mut open);
+        result?;
+        let finished_at = env.now();
+        nodes.push(NodeStats {
+            label: dag.nodes[v].label.clone(),
+            group: dag.nodes[v].group,
+            tasks,
+            launched_at,
+            finished_at,
+            released_at: vec![launched_at; tasks],
+            done_at: vec![finished_at; tasks],
+        });
+    }
+    Ok(DagStats { nodes })
+}
+
+/// Scheduling state of one submitted node in pipelined mode.
+struct Live {
+    handle: JobHandle,
+    stats: NodeStats,
+    done: Vec<bool>,
+    /// Number of `true` entries in `done`.
+    done_count: usize,
+    released: Vec<bool>,
+    complete: bool,
+}
+
+/// Submits every node gated, then loops: pump one notification,
+/// observe completions in node order, release ready tasks in node
+/// order.
+fn run_pipelined<C>(
+    env: &mut CloudEnv,
+    ctx: &mut C,
+    dag: &mut Dag<C>,
+) -> Result<DagStats, ExecError> {
+    let mut open = vec![SpanId::NONE; dag.groups.len()];
+    let mut live: Vec<Live> = Vec::with_capacity(dag.len());
+    for v in 0..dag.len() {
+        maybe_begin_group_span(env, dag, v, &mut open);
+        if let Some(g) = dag.nodes[v].group {
+            env.set_job_parent(open[g]);
+        }
+        let launched_at = env.now();
+        let handle = (dag.nodes[v].launch)(ctx, env, true)?;
+        env.set_job_parent(SpanId::NONE);
+        let node = &dag.nodes[v];
+        let tasks = handle.total_tasks(env);
+        debug_assert_eq!(
+            tasks, node.tasks,
+            "node {} declared {} tasks but launched {}",
+            node.label, node.tasks, tasks
+        );
+        if !node.deps.is_empty() {
+            let deps: Vec<&str> = node
+                .deps
+                .iter()
+                .map(|e| dag.nodes[e.from].label.as_str())
+                .collect();
+            env.annotate_job_span(handle.id, "deps", &deps.join(","));
+        }
+        // Publish the fan-in metadata so decentralized pools can fire
+        // continuations without the scheduler in the loop (no-op for
+        // other recovery modes).
+        for e in &node.deps {
+            env.register_continuation(
+                live[e.from].handle.id,
+                handle.id,
+                e.fan_in,
+                dag.nodes[e.from].tasks,
+                node.tasks,
+            );
+        }
+        live.push(Live {
+            handle,
+            stats: NodeStats {
+                label: node.label.clone(),
+                group: node.group,
+                tasks,
+                launched_at,
+                finished_at: launched_at,
+                released_at: vec![SimTime::ZERO; tasks],
+                done_at: vec![SimTime::ZERO; tasks],
+            },
+            done: vec![false; tasks],
+            done_count: 0,
+            released: vec![false; tasks],
+            complete: false,
+        });
+    }
+
+    release_ready(env, dag, &mut live);
+    while !live.iter().all(|l| l.complete) {
+        if env.pump() == EnvEvent::Drained {
+            let stuck: Vec<&str> = live
+                .iter()
+                .filter(|l| !l.complete)
+                .map(|l| l.stats.label.as_str())
+                .collect();
+            return Err(ExecError::Stalled(format!(
+                "simulation drained with DAG nodes unfinished: {}",
+                stuck.join(", ")
+            )));
+        }
+        // A node failure stops the pass before any release.
+        for (v, l) in live.iter_mut().enumerate() {
+            observe(env, dag, v, l, &mut open)?;
+        }
+        release_ready(env, dag, &mut live);
+    }
+    Ok(DagStats {
+        nodes: live.into_iter().map(|l| l.stats).collect(),
+    })
+}
+
+/// Stamps node `v`'s newly completed tasks; collects the job when it
+/// finishes (ending the group span on the group's last member).
+fn observe<C>(
+    env: &mut CloudEnv,
+    dag: &Dag<C>,
+    v: usize,
+    l: &mut Live,
+    open: &mut [SpanId],
+) -> Result<(), ExecError> {
+    if l.complete {
+        return Ok(());
+    }
+    let now = env.now();
+    if l.handle.done_tasks(env) > l.done_count {
+        for t in 0..l.stats.tasks {
+            if !l.done[t] && l.handle.task_done(env, t) {
+                l.done[t] = true;
+                l.done_count += 1;
+                l.stats.done_at[t] = now;
+            }
+        }
+    }
+    if !l.handle.is_finished(env) {
+        return Ok(());
+    }
+    let result = env
+        .try_job_result(l.handle.id)
+        .expect("finished job yields a result");
+    l.complete = true;
+    l.stats.finished_at = now;
+    maybe_end_group_span(env, dag, v, open);
+    result.map(|_| ())
+}
+
+/// Releases, in node then task order, every gated task whose upstream
+/// partitions are done.
+fn release_ready<C>(env: &mut CloudEnv, dag: &Dag<C>, live: &mut [Live]) {
+    let now = env.now();
+    for v in 0..live.len() {
+        let (up, rest) = live.split_at_mut(v);
+        let l = &mut rest[0];
+        if l.complete {
+            continue;
+        }
+        let node = &dag.nodes[v];
+        for t in 0..node.tasks {
+            if l.released[t] {
+                continue;
+            }
+            let ready = node.deps.iter().all(|e| {
+                fan_in_range(e.fan_in, dag.nodes[e.from].tasks, node.tasks, t)
+                    .all(|u| up[e.from].done[u])
+            });
+            if ready {
+                l.released[t] = true;
+                l.stats.released_at[t] = now;
+                l.handle.release_task(env, t);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -50,7 +50,6 @@
 pub mod cloudobject;
 pub mod config;
 pub mod dag;
-pub mod dag_async;
 pub mod env;
 pub mod error;
 pub mod executor;
@@ -64,8 +63,9 @@ pub mod task;
 
 pub use cloudobject::CloudObjectRef;
 pub use config::{ExecMode, ExecutorConfig, StandaloneConfig};
-pub use dag::{fan_in_range, Dag, DagNode, DagStats, Edge, ExecutionMode, FanIn, NodeStats};
-pub use dag_async::run_dag_async;
+pub use dag::{
+    fan_in_range, run_dag, Dag, DagNode, DagStats, Edge, ExecutionMode, FanIn, NodeStats,
+};
 pub use env::{CloudEnv, EnvEvent};
 pub use error::ExecError;
 pub use executor::{Backend, FunctionExecutor, JobHandle, MapOptions};

@@ -30,8 +30,11 @@
 //! * **Host-clocked** ([`AsyncExecutor::advance_to`] +
 //!   [`AsyncExecutor::run_ready`]): an outer simulation (the cloud
 //!   world) owns the clock; the executor is pumped after each host
-//!   event. This is how the DAG scheduler and the fleet driver bridge
-//!   futures onto `CloudEnv`.
+//!   event. This is how `CloudEnv` runs its control-loop futures
+//!   (completion monitors, retry backoffs, straggler sweeps, checkpoint
+//!   loops) in lockstep with world time; it is the only host-clocked
+//!   user. The DAG scheduler and the fleet driver are plain loops over
+//!   `CloudEnv::pump` and own no executor.
 //!
 //! # Example
 //!
@@ -433,8 +436,8 @@ struct JoinState<T> {
 }
 
 /// Owns the result of a spawned task. Await it (from another task) to
-/// join; or poll [`Self::try_take`] from outside the executor — the
-/// pattern reactor loops use to collect a driver task's output.
+/// join; or poll [`Self::try_take`] from outside the executor to
+/// collect a task's output.
 pub struct JoinHandle<T> {
     id: TaskId,
     state: Rc<RefCell<JoinState<T>>>,
@@ -813,9 +816,9 @@ struct NotifyState {
 }
 
 /// A multi-round broadcast: [`Notifier::notified`] resolves at the
-/// next [`Notifier::notify_all`] after the future was created. Host
-/// reactors use one as the per-event "epoch" signal that re-runs every
-/// waiting scheduler task in spawn order. Clones share the same state.
+/// next [`Notifier::notify_all`] after the future was created: a
+/// per-round "epoch" signal that re-runs every waiting task in spawn
+/// order. Clones share the same state.
 #[derive(Clone)]
 pub struct Notifier {
     state: Rc<RefCell<NotifyState>>,

@@ -40,6 +40,20 @@ if grep -rn "Route::Poll\b\|MonitorState" crates/serverful/src; then
     echo "hand-rolled monitor machinery (Route::Poll / MonitorState) is back" >&2
     exit 1
 fi
+# Drivers are plain loops over CloudEnv: the driver-side reactors
+# (dag_async, CellRef, job futures, the all-jobs completion scan) must
+# not return, and CloudEnv's kernel is the only AsyncExecutor in the
+# product crates.
+if grep -rnw "dag_async\|run_dag_async\|CellRef\|job_future\|scan_completions" \
+    crates src tests examples --include='*.rs'; then
+    echo "deleted driver reactor machinery is back" >&2
+    exit 1
+fi
+if grep -rn "AsyncExecutor::new" crates/{serverful,fleet,metaspace,planner}/src \
+    | grep -v "^crates/serverful/src/env/mod.rs:"; then
+    echo "AsyncExecutor::new outside CloudEnv (serverful/src/env/mod.rs)" >&2
+    exit 1
+fi
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -90,6 +104,16 @@ echo "== async-kernel microbenchmarks (BENCH_kernel.json + regression gate) =="
     | tee /tmp/plan_smoke.txt
 grep -q "verdict: frontier beats pure-serverless on cost: yes" /tmp/plan_smoke.txt \
     || { echo "planner smoke search lost to pure serverless" >&2; exit 1; }
+
+echo "== CLI input is never silently defaulted or clamped =="
+# A malformed seed must not fall back to the default, and a requested
+# fleet window the preset's job cap would cut short must not run.
+if ./target/release/repro table1 notaseed > /dev/null 2>&1; then
+    echo "repro accepted a non-integer seed" >&2; exit 1
+fi
+if ./target/release/repro fleet mixed --duration 1920 > /dev/null 2>&1; then
+    echo "repro fleet ran a --duration its max_jobs cap cuts short" >&2; exit 1
+fi
 
 echo "== fleet smoke determinism (threads 1 vs 8, repeat runs) =="
 # The multi-tenant traffic report must be byte-identical for any worker
@@ -174,8 +198,10 @@ if [[ "${1:-}" == "--full" ]]; then
     echo "== master-kill chaos matrix (paper scale, per-cell verdicts) =="
     # The release gate: all three Table 2 workloads x {Barrier,
     # Pipelined} x {Checkpointed, Decentralized}, one verdict per cell.
+    # (The test is only #[ignore]d in debug builds, so no --ignored here:
+    # in release that filter would select nothing.)
     cargo test --release --test recovery full_matrix_paper_scale -- \
-        --ignored --nocapture 2>&1 \
+        --nocapture 2>&1 \
         | tee /tmp/chaos_full.txt | grep "chaos cell OK"
     cells=$(grep -c "chaos cell OK" /tmp/chaos_full.txt)
     [[ "$cells" -eq 12 ]] \

@@ -1,5 +1,5 @@
-//! Executor determinism: the async-kernel DAG driver
-//! ([`serverful::run_dag_async`]) is the workspace's only engine, so
+//! Executor determinism: the DAG driver ([`serverful::run_dag`]) is
+//! the workspace's only engine, so
 //! the contract the deleted legacy pump loop used to witness is now
 //! stated directly — repeat runs of the same (workload, plan, mode,
 //! seed) cell must be *byte-identical*: same report tables, same span
@@ -35,14 +35,14 @@ fn with_mode(base: DeploymentPlan, mode: ExecutionMode) -> DeploymentPlan {
 /// Runs one (spec, mode) hybrid cell twice with tracing on and asserts
 /// the two runs match byte for byte.
 fn assert_repeat_identical(spec: &JobSpec, mode: ExecutionMode, smoke: bool, seed: u64) {
-    let stages = if smoke {
-        metaspace::pipeline::scaled_stages(spec, 0.02)
+    let w = if smoke {
+        metaspace::pipeline::scaled_workload(spec, 0.02)
     } else {
-        metaspace::pipeline::stages(spec)
+        metaspace::pipeline::job_workload(spec)
     };
-    let plan = with_mode(DeploymentPlan::hybrid(&stages), mode);
+    let plan = with_mode(DeploymentPlan::hybrid(&w.stages), mode);
     let run = || {
-        metaspace::run_plan_stages(spec.name, &stages, &plan, seed, CloudConfig::default(), true)
+        metaspace::run_workload(&w, &plan, seed, CloudConfig::default(), true)
             .unwrap_or_else(|e| panic!("{} {mode}: {e}", spec.name))
     };
     let (first_report, first_trace) = run();
@@ -109,18 +109,11 @@ fn repeat_runs_match_smoke_x089_pipelined() {
 fn repeat_runs_match_smoke_serverless_plans_and_seeds() {
     for mode in [ExecutionMode::Barrier, ExecutionMode::Pipelined] {
         let spec = metaspace::jobs::brain();
-        let stages = metaspace::pipeline::scaled_stages(&spec, 0.02);
-        let plan = with_mode(DeploymentPlan::serverless(&stages), mode);
+        let w = metaspace::pipeline::scaled_workload(&spec, 0.02);
+        let plan = with_mode(DeploymentPlan::serverless(&w.stages), mode);
         let run = |seed: u64| {
-            metaspace::run_plan_stages(
-                spec.name,
-                &stages,
-                &plan,
-                seed,
-                CloudConfig::default(),
-                true,
-            )
-            .expect("serverless smoke run completes")
+            metaspace::run_workload(&w, &plan, seed, CloudConfig::default(), true)
+                .expect("serverless smoke run completes")
         };
         let mut traces = Vec::new();
         for seed in [1, 42] {

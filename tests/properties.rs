@@ -567,8 +567,7 @@ fn run_recovery_case(
     kill_at: Option<u64>,
 ) -> Result<(u64, u64), serverful_repro::serverful::ExecError> {
     use serverful_repro::serverful::{
-        run_dag_async, Backend, CloudEnv, ExecMode, ExecutionMode, ExecutorConfig,
-        FunctionExecutor,
+        run_dag, Backend, CloudEnv, ExecMode, ExecutionMode, ExecutorConfig, FunctionExecutor,
     };
     let mut env = CloudEnv::new_default(seed);
     let mut cfg = ExecutorConfig::default();
@@ -584,10 +583,9 @@ fn run_recovery_case(
     if let Some(at) = kill_at {
         env.arm_master_kill(0, at);
     }
-    let ctx = RecCtx { exec };
+    let mut ctx = RecCtx { exec };
     let dag = build_recovery_dag(spec);
-    let (env, _ctx, result) = run_dag_async(env, ctx, dag, ExecutionMode::Pipelined);
-    result?;
+    run_dag(&mut env, &mut ctx, dag, ExecutionMode::Pipelined)?;
     assert_eq!(
         env.pending_master_kills(),
         0,
