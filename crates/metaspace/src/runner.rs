@@ -36,7 +36,7 @@ use shuffle::tasks::Exchange;
 use shuffle::SortConfig;
 use simkernel::{SimDuration, SimTime};
 
-use telemetry::UsageStats;
+use telemetry::{FaultLedger, UsageStats};
 
 use crate::jobs::JobSpec;
 use crate::pipeline::{self, Stage, StageEdge, StageKind, Workload};
@@ -193,6 +193,12 @@ pub struct ChaosReport {
     /// excluded). Equal digests mean the runs produced identical
     /// outputs, however many re-executions it took.
     pub science_digest: u64,
+    /// Injected faults and the retries, replacements and straggler
+    /// re-dispatches they caused, over the whole run.
+    pub faults: FaultLedger,
+    /// High-water mark of concurrent same-generation monitor LISTs
+    /// ([`CloudEnv::monitor_list_overlap`]); never above 1.
+    pub monitor_list_overlap: u32,
 }
 
 /// [`run_workload`] plus master-kill chaos injection:
@@ -500,6 +506,8 @@ fn run_functions_plan(
         recovery: env.recovery_stats().clone(),
         events_routed: env.events_routed() - event_base,
         science_digest: science_digest(env.world()),
+        faults: env.world().fault_ledger().clone(),
+        monitor_list_overlap: env.monitor_list_overlap(),
     };
     Ok((report, trace.then(|| trace_output(env.world())), chaos))
 }

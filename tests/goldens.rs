@@ -23,17 +23,18 @@ use std::sync::Arc;
 use serverful_repro::bench::render::{
     render_fig5, render_fig6, render_table1, render_table2, render_table3, render_table4,
 };
-use serverful_repro::cloudsim::CloudConfig;
+use serverful_repro::cloudsim::{CloudConfig, FaultConfig};
 use serverful_repro::fleet::{run_policy, whatif, Policy, PolicyOutcome, Scenario};
 use serverful_repro::metaspace::{
-    jobs, pipeline, run_workload, Architecture, DeploymentPlan, FunctionsPlan, PlanKind, Stage,
-    TraceOutput,
+    jobs, pipeline, run_workload, run_workload_chaos, Architecture, DeploymentPlan,
+    FunctionsPlan, PlanKind, Stage, TraceOutput,
 };
 use serverful_repro::serverful::{
-    run_dag, Backend, CloudEnv, Dag, DagNode, Edge, ExecutionMode, ExecutorConfig,
-    FunctionExecutor, MapOptions, Payload, ScriptTask,
+    run_dag, Backend, CloudEnv, Dag, DagNode, Edge, ExecMode, ExecutionMode, ExecutorConfig,
+    FunctionExecutor, MapOptions, Payload, RecoveryMode, RecoveryStats, RetryPolicy, ScriptTask,
 };
-use serverful_repro::simkernel::SimTime;
+use serverful_repro::simkernel::{SimRng, SimTime};
+use serverful_repro::telemetry::FaultLedger;
 
 /// The one seed all goldens are pinned to.
 const GOLDEN_SEED: u64 = 42;
@@ -341,4 +342,265 @@ fn xenograft_trace_is_byte_identical() {
         let b = traced("Xenograft", arch, 42);
         assert_eq!(a.chrome_json, b.chrome_json, "arch {arch:?}");
     }
+}
+
+// --- control-loop pin -----------------------------------------------------
+
+/// The fault ledger's retry-side counters and waste, at bit precision.
+fn write_faults(out: &mut String, f: &FaultLedger) {
+    let _ = writeln!(
+        out,
+        "  faults task_retries={} storage_retries={} vm_replacements={} stragglers={} \
+         spot_fallbacks={} exhausted={} injected={} waste_bits=[{:#x},{:#x}]",
+        f.task_retries,
+        f.storage_retries,
+        f.vm_replacements,
+        f.stragglers_redispatched,
+        f.spot_fallbacks,
+        f.attempts_exhausted,
+        f.total_injected(),
+        f.wasted_gb_secs.to_bits(),
+        f.wasted_instance_secs.to_bits()
+    );
+}
+
+/// Every recovery counter.
+fn write_recovery(out: &mut String, r: &RecoveryStats) {
+    let _ = writeln!(
+        out,
+        "  recovery checkpoints={} checkpoint_bytes={} replaced={} readopted={} \
+         redispatched={} continuations={} counters={} master_data_ops={}",
+        r.checkpoints_written,
+        r.checkpoint_bytes,
+        r.masters_replaced,
+        r.workers_readopted,
+        r.tasks_redispatched,
+        r.continuations_fired,
+        r.counters_written,
+        r.master_data_ops
+    );
+}
+
+/// One master-kill run of a `tests/recovery.rs` smoke cell.
+fn write_chaos_run(
+    out: &mut String,
+    w: &pipeline::Workload,
+    plan: &DeploymentPlan,
+    kills: &[u64],
+) -> u64 {
+    let (r, c) = run_workload_chaos(w, plan, GOLDEN_SEED, CloudConfig::default(), kills)
+        .unwrap_or_else(|e| panic!("{} kills={kills:?}: {e}", plan.name));
+    let _ = writeln!(
+        out,
+        "run {} {} kills={kills:?} wall_bits={:#x} cost_bits={:#x} events={} list_overlap={} \
+         science_digest={:#x}",
+        w.name,
+        plan.name,
+        r.wall_secs.to_bits(),
+        r.cost_usd.to_bits(),
+        c.events_routed,
+        c.monitor_list_overlap,
+        c.science_digest
+    );
+    for s in &r.stages {
+        let _ = writeln!(
+            out,
+            "  stage {} start_us={} end_us={}",
+            s.name,
+            (s.start_secs * 1e6).round() as u64,
+            (s.end_secs * 1e6).round() as u64
+        );
+    }
+    write_faults(out, &c.faults);
+    write_recovery(out, &c.recovery);
+    c.events_routed
+}
+
+/// The hybrid plan of a `tests/recovery.rs` matrix cell.
+fn chaos_cell_plan(
+    stages: &[Stage],
+    execution: ExecutionMode,
+    recovery: RecoveryMode,
+    vm_count: usize,
+) -> DeploymentPlan {
+    let PlanKind::Functions(f) = DeploymentPlan::hybrid(stages).kind else {
+        unreachable!("hybrid is a functions plan")
+    };
+    DeploymentPlan::functions(
+        format!("hybrid-{execution}-{}-vm{vm_count}", recovery.name()),
+        FunctionsPlan {
+            execution,
+            recovery,
+            vm_count,
+            ..f
+        },
+    )
+}
+
+/// A pure squaring task (results are a function of the input, so every
+/// re-executed attempt reproduces them).
+fn square_factory(secs: f64) -> serverful_repro::serverful::job::TaskFactory {
+    Arc::new(move |input: &Payload| {
+        let i = input.as_u64().expect("u64 input");
+        ScriptTask::new()
+            .compute(secs)
+            .finish_value(Payload::U64(i * i))
+            .boxed()
+    })
+}
+
+/// One directly driven map: its finish time, the env's bill and
+/// control-loop counters so far, and a digest of its results.
+fn write_direct_job(
+    out: &mut String,
+    env: &mut CloudEnv,
+    exec: &mut FunctionExecutor,
+    name: &str,
+    tasks: u64,
+    secs: f64,
+) {
+    let job = exec.map_with(
+        env,
+        square_factory(secs),
+        (0..tasks).map(Payload::U64).collect(),
+        MapOptions::named(name),
+    );
+    let digest = match exec.get_result(env, job) {
+        Ok(results) => {
+            let bytes: Vec<u8> = results.iter().flat_map(Payload::encode).collect();
+            format!("{:#x}", fnv1a(&bytes))
+        }
+        Err(e) => format!("error({e})"),
+    };
+    let _ = writeln!(
+        out,
+        "job {name} finished_us={} cost_bits={:#x} events={} list_overlap={} \
+         science_digest={digest}",
+        micros(env.now()),
+        env.world().ledger().total().to_bits(),
+        env.events_routed(),
+        env.monitor_list_overlap()
+    );
+    write_faults(out, env.world().fault_ledger());
+    write_recovery(out, env.recovery_stats());
+}
+
+/// Storage 5xx, sandbox crashes and VM loss all on.
+fn faulty_cloud() -> CloudConfig {
+    CloudConfig {
+        faults: FaultConfig {
+            sandbox_crash_prob: 0.08,
+            sandbox_crash_after: (0.5, 20.0),
+            vm_loss_prob: 0.3,
+            vm_loss_after: (5.0, 40.0),
+            storage_error_prob: 0.08,
+            storage_slowdown_prob: 0.02,
+            ..FaultConfig::disabled()
+        },
+        ..CloudConfig::default()
+    }
+}
+
+/// A retry policy deep enough for [`faulty_cloud`], with straggler
+/// speculation on.
+fn faulty_retry() -> RetryPolicy {
+    RetryPolicy {
+        max_attempts: 8,
+        straggler_timeout_secs: Some(4.0),
+        ..RetryPolicy::default()
+    }
+}
+
+/// Everything the environment's control loops decide — completion
+/// monitors, straggler sweeps, task and storage retry backoffs,
+/// checkpoint cadence and master re-adoption — at integer or bit
+/// precision: the smoke master-kill cells of `tests/recovery.rs`, a
+/// Checkpointed reuse pool running jobs back to back, and FaaS and
+/// serverful runs under storage, sandbox and VM faults.
+fn render_control_loops() -> String {
+    let mut out = String::new();
+    let brain = jobs::brain();
+    let xeno = jobs::xenograft();
+    let cells = [
+        (&brain, 0.02, ExecutionMode::Barrier, 4, 0),
+        (&brain, 0.02, ExecutionMode::Pipelined, 4, 10),
+        (&xeno, 0.008, ExecutionMode::Barrier, 4, 20),
+        (&xeno, 0.008, ExecutionMode::Pipelined, 4, 30),
+        (&brain, 0.02, ExecutionMode::Barrier, 1, 40),
+    ];
+    for (spec, scale, execution, vm_count, case) in cells {
+        let w = pipeline::scaled_workload(spec, scale);
+        for (i, recovery) in [RecoveryMode::Checkpointed, RecoveryMode::Decentralized]
+            .into_iter()
+            .enumerate()
+        {
+            let plan = chaos_cell_plan(&w.stages, execution, recovery, vm_count);
+            let span = write_chaos_run(&mut out, &w, &plan, &[]);
+            let case = case + i as u64;
+            let mut rng = SimRng::seed_from(0xDEAD_BEEF ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let kill = rng.uniform_u64(span / 8, span / 2 + 1);
+            write_chaos_run(&mut out, &w, &plan, &[kill]);
+        }
+    }
+    let w = pipeline::scaled_workload(&brain, 0.02);
+    let plan = chaos_cell_plan(
+        &w.stages,
+        ExecutionMode::Barrier,
+        RecoveryMode::Checkpointed,
+        4,
+    );
+    let span = write_chaos_run(&mut out, &w, &plan, &[]);
+    write_chaos_run(&mut out, &w, &plan, &[span / 4, span / 2]);
+
+    // A Checkpointed reuse pool: each job's checkpoint loop starts while
+    // the previous job's loop still has a snapshot deadline pending.
+    let mut env = CloudEnv::new_default(GOLDEN_SEED);
+    let mut cfg = ExecutorConfig::default();
+    cfg.standalone.recovery = RecoveryMode::Checkpointed;
+    cfg.standalone.checkpoint_interval_secs = 2.0;
+    cfg.standalone.exec_mode = ExecMode::Fleet {
+        instance_type: "c5.large".into(),
+        count: 2,
+    };
+    let mut exec = FunctionExecutor::new(&mut env, Backend::vm(), cfg);
+    let sizes = [(8, 3.0), (6, 1.5), (4, 0.7), (8, 2.2), (3, 0.3), (5, 1.1), (7, 0.9)];
+    for (i, (tasks, secs)) in sizes.into_iter().enumerate() {
+        write_direct_job(&mut out, &mut env, &mut exec, &format!("reuse-{i}"), tasks, secs);
+    }
+    exec.shutdown(&mut env);
+
+    // FaaS under faults, straggler speculation on.
+    let mut env = CloudEnv::new(faulty_cloud(), GOLDEN_SEED);
+    let cfg = ExecutorConfig {
+        retry: faulty_retry(),
+        ..ExecutorConfig::default()
+    };
+    let mut exec = FunctionExecutor::new(&mut env, Backend::faas(), cfg);
+    write_direct_job(&mut out, &mut env, &mut exec, "faas-faulty", 24, 2.0);
+
+    // Serverful (Checkpointed fleet) under the same faults.
+    let mut env = CloudEnv::new(faulty_cloud(), GOLDEN_SEED);
+    let mut cfg = ExecutorConfig {
+        retry: faulty_retry(),
+        ..ExecutorConfig::default()
+    };
+    cfg.standalone.recovery = RecoveryMode::Checkpointed;
+    cfg.standalone.checkpoint_interval_secs = 0.5;
+    cfg.standalone.exec_mode = ExecMode::Fleet {
+        instance_type: "c5.large".into(),
+        count: 3,
+    };
+    cfg.standalone.reuse_instances = false;
+    let mut exec = FunctionExecutor::new(&mut env, Backend::vm(), cfg);
+    write_direct_job(&mut out, &mut env, &mut exec, "vm-faulty", 18, 6.0);
+    exec.shutdown(&mut env);
+    out
+}
+
+/// The cross-commit pin for the environment's control loops: a rework
+/// of how monitors, retries, sweeps and checkpoints are scheduled must
+/// leave every figure here unchanged.
+#[test]
+fn golden_control_loops() {
+    check_golden("control_loops", &render_control_loops());
 }
