@@ -17,6 +17,15 @@ pub(super) struct Continuation {
     pub(super) down_tasks: usize,
 }
 
+/// Checkpoint-loop work a dispatch hands to the end of its pump
+/// ([`CloudEnv::run_checkpoints`]), tagged with its start order.
+pub(super) enum Deferred {
+    /// A new checkpoint loop's immediate first snapshot.
+    Checkpoint { pool: usize },
+    /// The replacement master is up: fetch the checkpoint.
+    Readopt { pool: usize, episode: u64 },
+}
+
 /// Decentralized-mode bookkeeping for one job.
 #[derive(Debug)]
 pub(super) struct DcJob {
@@ -132,19 +141,11 @@ impl CloudEnv {
                 self.recovery_stats.masters_replaced += 1;
                 self.pools[pool].recovering = true;
                 self.pools[pool].recovery_episode += 1;
-                let episode = self.pools[pool].recovery_episode;
                 // The replacement master provisions through the normal
                 // slot budget below; once its SSH setup completes,
-                // `on_pool_vm_ready` opens this gate and the future
-                // queues the checkpoint fetch.
-                let gate = self.kernel.gate();
-                self.pools[pool].readopt_gate = Some(gate.clone());
-                let cmds = Rc::clone(&self.env_cmds);
-                self.kernel.spawn(async move {
-                    gate.wait().await;
-                    cmds.borrow_mut()
-                        .push_back(EnvCmd::Readopt { pool, episode });
-                });
+                // `on_pool_vm_ready` hands the checkpoint fetch to
+                // `run_checkpoints`.
+                self.pools[pool].readopt_pending = Some(self.next_loop_start());
                 self.world
                     .tracer_mut()
                     .instant(now, "master-lost", "recovery", "recovery");
@@ -162,36 +163,99 @@ impl CloudEnv {
         }
     }
 
-    /// Starts the periodic checkpoint loop as a kernel future. The loop
-    /// snapshots once immediately — a replay baseline exists as soon as
-    /// the job does, even for jobs shorter than the interval — then
-    /// queues an [`EnvCmd::Checkpoint`] every interval until its
-    /// liveness flag is cleared by `pool_job_finished`.
-    pub(super) fn start_checkpoint_loop(&mut self, pool: usize) {
-        if self.pools[pool]
-            .ckpt_active
-            .as_ref()
-            .is_some_and(|f| f.get())
-        {
-            return; // a loop from the previous job (reuse) is still live
+    /// Rejects a job whose backend cannot run it: a Checkpointed pool's
+    /// snapshot deadlines must advance, so its interval has to be a
+    /// finite number of seconds of at least one microsecond (the
+    /// virtual clock's resolution).
+    pub(super) fn check_backend(&self, backend: &JobBackend) -> Result<(), ExecError> {
+        let JobBackend::Standalone { pool } = *backend else {
+            return Ok(());
+        };
+        let cfg = &self.pools[pool].cfg;
+        let secs = cfg.checkpoint_interval_secs;
+        let advances =
+            secs.is_finite() && secs > 0.0 && SimDuration::from_secs_f64(secs) > SimDuration::ZERO;
+        if cfg.recovery != RecoveryMode::Checkpointed || advances {
+            return Ok(());
         }
-        let flag = Rc::new(Cell::new(true));
-        self.pools[pool].ckpt_active = Some(Rc::clone(&flag));
-        let interval = SimDuration::from_secs_f64(
-            self.pools[pool].cfg.checkpoint_interval_secs.max(0.05),
-        );
-        let exec = self.kernel.clone();
-        let cmds = Rc::clone(&self.env_cmds);
-        self.kernel.spawn(async move {
-            cmds.borrow_mut().push_back(EnvCmd::Checkpoint { pool });
-            loop {
-                exec.sleep(interval).await;
-                if !flag.get() {
-                    break;
+        Err(ExecError::Unsupported(format!(
+            "checkpoint_interval_secs must be a finite, positive number of seconds \
+             (at least 1 µs) on a Checkpointed pool, got {secs}"
+        )))
+    }
+
+    /// Starts the pool's periodic checkpoint loop, unless the current
+    /// job's loop is already live. The loop snapshots once at the end
+    /// of this pump — a replay baseline exists as soon as the job does,
+    /// even for jobs shorter than the interval — and then once per
+    /// interval until the job finishes.
+    pub(super) fn start_checkpoint_loop(&mut self, pool: usize) {
+        if self.pools[pool].checkpoint_loop.is_some() {
+            return;
+        }
+        let order = self.next_loop_start();
+        self.pools[pool].checkpoint_loop = Some(order);
+        self.deferred.push_back((order, Deferred::Checkpoint { pool }));
+    }
+
+    /// The next start-order tag of a checkpoint loop or re-adoption.
+    fn next_loop_start(&mut self) -> u64 {
+        self.loop_starts += 1;
+        self.loop_starts
+    }
+
+    /// The checkpoint work of one pump, run after its notification is
+    /// routed. Every snapshot deadline world time has reached fires
+    /// once, in deadline order and then start order, and the next
+    /// deadline counts from the one just passed. Work a dispatch
+    /// deferred (a new loop's first snapshot, a re-adoption fetch)
+    /// joins the earliest due deadline in start order, so a loop
+    /// started now counts its cadence from that deadline; with nothing
+    /// due it runs at world now. A finished job's loop ends silently at
+    /// its next deadline.
+    pub(super) fn run_checkpoints(&mut self) {
+        let now = self.world.now();
+        if self.deferred.is_empty() && self.checkpoint_due.is_none_or(|d| d > now) {
+            return;
+        }
+        let mut batch: Vec<(u64, Deferred)> = self.deferred.drain(..).collect();
+        loop {
+            let clock = match self.checkpoint_due.filter(|&d| d <= now) {
+                Some(due) => due,
+                None if batch.is_empty() => break,
+                None => now,
+            };
+            self.ended_checkpoints.retain(|&d| d != clock);
+            for (pool, p) in self.pools.iter().enumerate() {
+                if let (Some(order), Some(next)) = (p.checkpoint_loop, p.next_checkpoint) {
+                    if next == clock {
+                        batch.push((order, Deferred::Checkpoint { pool }));
+                    }
                 }
-                cmds.borrow_mut().push_back(EnvCmd::Checkpoint { pool });
             }
-        });
+            batch.sort_by_key(|&(order, _)| order);
+            for (order, work) in std::mem::take(&mut batch) {
+                match work {
+                    Deferred::Checkpoint { pool } => {
+                        let interval = self.pools[pool].cfg.checkpoint_interval_secs;
+                        let next = clock + SimDuration::from_secs_f64(interval);
+                        if self.pools[pool].checkpoint_loop == Some(order) {
+                            self.pools[pool].next_checkpoint = Some(next);
+                        } else {
+                            self.ended_checkpoints.push(next);
+                        }
+                        self.write_checkpoint(pool);
+                    }
+                    Deferred::Readopt { pool, episode } => self.begin_readopt(pool, episode),
+                }
+            }
+            self.checkpoint_due = self
+                .pools
+                .iter()
+                .filter_map(|p| p.next_checkpoint)
+                .chain(self.ended_checkpoints.iter().copied())
+                .min();
+        }
     }
 
     /// Snapshots the master's orchestration state to object storage.
@@ -270,14 +334,14 @@ impl CloudEnv {
         let Some(job) = active.filter(|_| !finished) else {
             // Nothing to recover: the pool simply has a fresh master.
             self.pools[pool].recovering = false;
-            self.pools[pool].readopt_gate = None;
+            self.pools[pool].readopt_pending = None;
             return;
         };
         let Some(master) = self.pools[pool].master_pv() else {
             return;
         };
         if master.phase != VmPhase::Ready || !self.world.host_alive(master.host) {
-            return; // replacement died too; the next one re-opens the gate
+            return; // replacement died too; its loss starts a new episode
         }
         let host = master.host;
         let bucket = self.jobs[job].bucket.clone();
@@ -313,7 +377,7 @@ impl CloudEnv {
             _ => None,
         };
         self.pools[pool].recovering = false;
-        self.pools[pool].readopt_gate = None;
+        self.pools[pool].readopt_pending = None;
         if let Some(s) = &snapshot {
             self.pools[pool].ckpt_seq = self.pools[pool].ckpt_seq.max(s.seq);
         }
@@ -328,9 +392,9 @@ impl CloudEnv {
         if self.pools[pool].active != Some(job) || self.jobs[job].is_finished() {
             return;
         }
-        // The monitor moves to the new master and restarts as a fresh
-        // loop future; the generation bump cancels the old one, so the
-        // LIST cycle never forks.
+        // The monitor moves to the new master and restarts; the
+        // generation bump retires the old loop, so the LIST cycle never
+        // forks.
         self.jobs[job].monitor_host = self.pools[pool].master_host();
         if self.jobs[job].monitor_started {
             self.start_monitor(job);

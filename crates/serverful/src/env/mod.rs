@@ -28,15 +28,12 @@
 //!    the client; all instances are automatically stopped afterwards
 //!    (unless instance reuse is enabled).
 
-use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 
 use cloudsim::{
     CloudConfig, FaultKind, HostId, KvId, Notify, ObjectBody, OpId, OpOutcome, SandboxId,
     Tenancy, VmId, World,
 };
-use simkernel::aio::{race, AsyncExecutor, CancelToken, Either, Gate};
 use simkernel::{SimDuration, SimTime};
 use telemetry::trace::SpanId;
 use telemetry::{FleetTag, StageSpan, Timeline};
@@ -55,6 +52,8 @@ mod pools;
 mod retrying;
 mod routes;
 mod tasks;
+#[cfg(test)]
+mod tests;
 
 use failover::*;
 use monitor::*;
@@ -93,12 +92,17 @@ pub struct CloudEnv {
     /// Span subsequently submitted jobs parent under (a pipeline's stage
     /// span, for example).
     job_parent: SpanId,
-    /// Async kernel driving the control-loop futures (completion
-    /// monitors, retry backoffs, straggler sweeps, checkpoint sleep
-    /// loops, re-adoption gates) in lockstep with world time.
-    kernel: AsyncExecutor,
-    /// Commands those futures queue for the environment to execute.
-    env_cmds: Rc<RefCell<VecDeque<EnvCmd>>>,
+    /// Checkpoint-loop work a dispatch handed to the end of its pump
+    /// ([`Self::run_checkpoints`]), tagged with its start order.
+    deferred: VecDeque<(u64, Deferred)>,
+    /// Start-order counter of checkpoint loops and re-adoptions: work
+    /// due at the same instant runs in this order.
+    loop_starts: u64,
+    /// Pending deadlines of checkpoint loops whose job finished; each
+    /// passes silently.
+    ended_checkpoints: Vec<SimTime>,
+    /// Earliest pending checkpoint deadline, live or ended.
+    checkpoint_due: Option<SimTime>,
     /// Live completion-monitor handles, one per monitored job.
     monitors: HashMap<usize, MonitorHandle>,
     /// Task retries waiting out their backoff: `(job, task) -> attempt`.
@@ -157,8 +161,10 @@ impl CloudEnv {
             scheduler_fleet,
             active_jobs: 0,
             job_parent: SpanId::NONE,
-            kernel: AsyncExecutor::new(),
-            env_cmds: Rc::new(RefCell::new(VecDeque::new())),
+            deferred: VecDeque::new(),
+            loop_starts: 0,
+            ended_checkpoints: Vec::new(),
+            checkpoint_due: None,
             monitors: HashMap::new(),
             pending_task_retries: HashMap::new(),
             max_list_overlap: 0,
@@ -245,6 +251,13 @@ impl CloudEnv {
         let id = job.id;
         debug_assert_eq!(id, self.jobs.len());
         job.submitted_at = self.world.now();
+        if let Err(err) = self.check_backend(&job.backend) {
+            // Rejected before it touches the world: finished at once.
+            job.finished_at = Some(job.submitted_at);
+            job.error = Some(err);
+            self.jobs.push(job);
+            return id;
+        }
         if self.world.tracer().is_enabled() {
             let now = self.world.now();
             let name = format!("job:{}", job.name);
@@ -413,7 +426,7 @@ impl CloudEnv {
                 }
                 self.dispatch(t, n);
                 self.events_routed += 1;
-                self.drive_kernel();
+                self.run_checkpoints();
                 self.fire_armed_kills();
                 EnvEvent::Progress
             }
@@ -450,56 +463,10 @@ impl CloudEnv {
 
     /// High-water mark of concurrent monitor LISTs belonging to a single
     /// live monitor generation, across every job so far. The monitor
-    /// invariant — a monitor future killed and replayed by checkpoint
-    /// recovery never forks the LIST cycle — says this never exceeds 1.
+    /// invariant — a monitor restarted by checkpoint recovery never
+    /// forks the LIST cycle — says this never exceeds 1.
     pub fn monitor_list_overlap(&self) -> u32 {
         self.max_list_overlap
-    }
-
-    /// Advances the kernel to world time, runs any woken futures, and
-    /// executes the commands they queued. Called once per routed event;
-    /// this is where kernel *timers* (checkpoint sleeps) fire — gate
-    /// wakeups are additionally pumped inside [`Route::Wake`] dispatch
-    /// so timer-driven loops act at their exact pre-port position.
-    fn drive_kernel(&mut self) {
-        self.kernel.advance_to(self.world.now());
-        self.kernel.run_ready();
-        self.drain_cmds();
-        // Futures woken by a drained command (a reply gate opening) park
-        // themselves on their next await; no world side effects remain.
-        self.kernel.run_ready();
-    }
-
-    /// Executes every command the kernel futures queued so far.
-    fn drain_cmds(&mut self) {
-        loop {
-            let cmd = self.env_cmds.borrow_mut().pop_front();
-            match cmd {
-                None => break,
-                Some(EnvCmd::Checkpoint { pool }) => self.write_checkpoint(pool),
-                Some(EnvCmd::Readopt { pool, episode }) => {
-                    self.begin_readopt(pool, episode)
-                }
-                Some(EnvCmd::MonitorTick {
-                    job,
-                    generation,
-                    reply,
-                }) => self.on_monitor_tick(job, generation, reply),
-                Some(EnvCmd::StragglerSweep { job, reply }) => {
-                    self.on_straggler_sweep(job, reply)
-                }
-                Some(EnvCmd::RetryTask { job, task, attempt }) => {
-                    self.on_retry_task(job, task, attempt)
-                }
-                Some(EnvCmd::RetryStorage {
-                    spec,
-                    attempts,
-                    inner,
-                    pending_slot,
-                    task_attempt,
-                }) => self.on_retry_storage(spec, attempts, *inner, pending_slot, task_attempt),
-            }
-        }
     }
 
     /// The finished job's results (or error), if it has finished.
@@ -634,18 +601,6 @@ impl CloudEnv {
         self.next_timer += 1;
         self.timer_routes.insert(tag, route);
         self.world.timer(delay, tag);
-    }
-
-    /// Arms a world-clock timer that opens a fresh kernel gate when it
-    /// fires ([`Route::Wake`]) — the bridge between the control-loop
-    /// futures and the world's deterministic event order. World timers
-    /// are never cancelled: a stale fire opens an orphaned gate and is
-    /// still counted by the event clock, exactly like the pre-port
-    /// stale poll timers.
-    fn wake_timer(&mut self, delay: SimDuration) -> Gate {
-        let gate = self.kernel.gate();
-        self.set_timer(delay, Route::Wake { gate: gate.clone() });
-        gate
     }
 
     fn job_activity(&mut self, delta: i64) {

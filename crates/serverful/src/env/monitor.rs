@@ -1,71 +1,18 @@
-//! The storage-polling completion monitor, as a kernel future per
-//! job: the tick loop, LIST/GET handling, straggler speculation, and
-//! job completion.
+//! The storage-polling completion monitor: the per-job tick loop
+//! (a world timer re-armed after each LIST), LIST/GET handling,
+//! straggler speculation, and job completion.
 
 use super::*;
 
-/// A one-shot reply channel from the environment back into a waiting
-/// kernel future: a [`Gate`] plus the value it announces.
-pub(super) struct ReplySlot<T> {
-    pub(super) gate: Gate,
-    pub(super) value: Rc<RefCell<Option<T>>>,
-}
-
-impl<T> Clone for ReplySlot<T> {
-    fn clone(&self) -> Self {
-        ReplySlot {
-            gate: self.gate.clone(),
-            value: Rc::clone(&self.value),
-        }
-    }
-}
-
-impl<T> ReplySlot<T> {
-    pub(super) fn new(kernel: &AsyncExecutor) -> Self {
-        ReplySlot {
-            gate: kernel.gate(),
-            value: Rc::new(RefCell::new(None)),
-        }
-    }
-
-    /// Delivers the reply and wakes the waiting loop.
-    pub(super) fn set(&self, value: T) {
-        *self.value.borrow_mut() = Some(value);
-        self.gate.open();
-    }
-
-    /// Resolves once [`Self::set`] delivered a value.
-    pub(super) async fn recv(self) -> T {
-        self.gate.wait().await;
-        self.value
-            .borrow_mut()
-            .take()
-            .expect("reply gate opened without a value")
-    }
-}
-
-/// What the environment tells a periodic loop after handling its tick.
-pub(super) enum TickVerdict {
-    /// Tick again: the environment armed the next world timer and the
-    /// gate opens when it fires.
-    Rearm(Gate),
-    /// The loop is over (collection started, job finished, monitor host
-    /// lost, or the sweep has nothing left to watch).
-    Stop,
-}
-
-/// Environment-side handle to a job's completion-monitor loop. The
-/// old hand-rolled poll state machine kept a tri-state flag on the job;
-/// its invariants now live here: `generation` + `token` guarantee at
-/// most one live LIST cycle per job (a restart cancels the old loop
-/// instead of racing it), and `collecting` tracks the final gather.
+/// Environment-side state of a job's completion monitor. Its
+/// invariants: `generation` guarantees at most one live LIST cycle per
+/// job — a restart bumps it, and every tick, LIST and collect of an
+/// older generation is dropped on mismatch instead of racing the new
+/// cycle — and `collecting` tracks the final gather.
 pub(super) struct MonitorHandle {
-    /// Bumped on every (re)start; stale LISTs/collects are dropped on
-    /// mismatch.
+    /// Bumped on every (re)start; stale ticks, sweeps, LISTs and
+    /// collects are dropped on mismatch.
     pub(super) generation: u64,
-    /// Cancels the loop future (and the straggler sweep riding the same
-    /// token) on restart or job completion.
-    pub(super) token: CancelToken,
     /// LIST requests of the *current* generation in flight. The
     /// "exactly one LIST cycle" invariant says this never exceeds 1;
     /// [`CloudEnv::monitor_list_overlap`] exposes the high-water mark so
@@ -74,37 +21,6 @@ pub(super) struct MonitorHandle {
     /// Result GETs outstanding in the final collection, once the LIST
     /// came back complete.
     pub(super) collecting: Option<usize>,
-    /// Reply channel of the tick being handled (tick taken, LIST not
-    /// yet answered).
-    pub(super) pending_reply: Option<ReplySlot<TickVerdict>>,
-}
-
-/// The generic periodic loop: wait for the tick gate, ask the
-/// environment to act, follow its verdict. Both the completion monitor
-/// and the straggler sweep are instances; cancellation (checkpoint
-/// replay restarting the monitor, the job finishing) wins every race,
-/// which is what makes "a killed-and-replayed monitor never forks the
-/// LIST cycle" structural instead of comment-enforced.
-pub(super) async fn run_tick_loop(
-    kernel: AsyncExecutor,
-    first_tick: Gate,
-    token: CancelToken,
-    cmds: Rc<RefCell<VecDeque<EnvCmd>>>,
-    make_cmd: impl Fn(ReplySlot<TickVerdict>) -> EnvCmd,
-) {
-    let mut tick = first_tick;
-    loop {
-        if let Either::Left(()) = race(token.cancelled(), tick.wait()).await {
-            return;
-        }
-        let reply = ReplySlot::new(&kernel);
-        cmds.borrow_mut().push_back(make_cmd(reply.clone()));
-        match race(token.cancelled(), reply.recv()).await {
-            Either::Left(()) => return,
-            Either::Right(TickVerdict::Stop) => return,
-            Either::Right(TickVerdict::Rearm(next)) => tick = next,
-        }
-    }
 }
 
 impl CloudEnv {
@@ -123,46 +39,17 @@ impl CloudEnv {
         self.start_monitor(job);
     }
 
-    /// (Re)starts a job's completion monitor as a kernel future — plus a
-    /// straggler-speculation future when the retry policy enables one. A
+    /// (Re)starts a job's completion monitor — plus a straggler sweep
+    /// when the retry policy enables one — by arming its first tick. A
     /// previous loop (say, of a master lost before a checkpoint replay)
-    /// is cancelled by the generation bump, so exactly one LIST cycle
+    /// goes stale with the generation bump, so exactly one LIST cycle
     /// can ever be in flight.
     pub(super) fn start_monitor(&mut self, job: usize) {
-        let interval = SimDuration::from_secs_f64(self.jobs[job].poll_interval);
-        let first = self.wake_timer(interval);
-        self.spawn_monitor_loop(job, first);
-        // Straggler speculation only applies to FaaS jobs, and only when
-        // the policy sets a timeout: golden runs arm exactly one timer.
-        let straggling = self.jobs[job].retry.straggler_timeout_secs.is_some()
-            && matches!(self.jobs[job].backend, JobBackend::Faas { .. });
-        if straggling {
-            let sweep_first = self.wake_timer(interval);
-            let token = self.monitors[&job].token.clone();
-            let kernel = self.kernel.clone();
-            let cmds = Rc::clone(&self.env_cmds);
-            self.kernel.spawn(run_tick_loop(
-                kernel,
-                sweep_first,
-                token,
-                cmds,
-                move |reply| EnvCmd::StragglerSweep { job, reply },
-            ));
-        }
-    }
-
-    /// Spawns the monitor loop future for `job`, cancelling and
-    /// superseding any previous one.
-    pub(super) fn spawn_monitor_loop(&mut self, job: usize, first: Gate) {
-        let token = self.kernel.cancel_token();
         let generation = match self.monitors.get_mut(&job) {
             Some(handle) => {
-                handle.token.cancel();
                 handle.generation += 1;
-                handle.token = token.clone();
                 handle.lists_in_flight = 0;
                 handle.collecting = None;
-                handle.pending_reply = None;
                 handle.generation
             }
             None => {
@@ -170,50 +57,41 @@ impl CloudEnv {
                     job,
                     MonitorHandle {
                         generation: 0,
-                        token: token.clone(),
                         lists_in_flight: 0,
                         collecting: None,
-                        pending_reply: None,
                     },
                 );
                 0
             }
         };
-        let kernel = self.kernel.clone();
-        let cmds = Rc::clone(&self.env_cmds);
-        self.kernel.spawn(run_tick_loop(
-            kernel,
-            first,
-            token,
-            cmds,
-            move |reply| EnvCmd::MonitorTick {
-                job,
-                generation,
-                reply,
-            },
-        ));
+        let interval = SimDuration::from_secs_f64(self.jobs[job].poll_interval);
+        self.set_timer(interval, Route::MonitorTick { job, generation });
+        // Straggler speculation only applies to FaaS jobs, and only when
+        // the policy sets a timeout: golden runs arm exactly one timer.
+        let straggling = self.jobs[job].retry.straggler_timeout_secs.is_some()
+            && matches!(self.jobs[job].backend, JobBackend::Faas { .. });
+        if straggling {
+            self.set_timer(interval, Route::StragglerSweep { job, generation });
+        }
     }
 
-    /// A monitor tick fired: run one LIST cycle — unless the loop is
-    /// stale (job finished, superseded generation) or its monitoring
-    /// host died, which stops it.
-    pub(super) fn on_monitor_tick(&mut self, job: usize, generation: u64, reply: ReplySlot<TickVerdict>) {
-        if self.jobs[job].is_finished() {
-            reply.set(TickVerdict::Stop);
-            return;
-        }
-        let stale = match self.monitors.get(&job) {
-            Some(handle) => handle.generation != generation,
-            None => true,
-        };
-        if stale || !self.world.host_alive(self.jobs[job].monitor_host) {
-            reply.set(TickVerdict::Stop);
-            return;
-        }
+    /// True when `generation` is the job's live monitor cycle.
+    fn monitor_live(&self, job: usize, generation: u64) -> bool {
         self.monitors
-            .get_mut(&job)
-            .expect("monitor handle vanished")
-            .pending_reply = Some(reply);
+            .get(&job)
+            .is_some_and(|handle| handle.generation == generation)
+    }
+
+    /// A monitor tick fired: run one LIST cycle — unless the tick is
+    /// stale (job finished, superseded generation) or its monitoring
+    /// host died, which ends the loop.
+    pub(super) fn on_monitor_tick(&mut self, job: usize, generation: u64) {
+        if self.jobs[job].is_finished()
+            || !self.monitor_live(job, generation)
+            || !self.world.host_alive(self.jobs[job].monitor_host)
+        {
+            return;
+        }
         let host = self.jobs[job].monitor_host;
         let bucket = self.jobs[job].bucket.clone();
         let prefix = self.jobs[job].result_prefix();
@@ -229,23 +107,21 @@ impl CloudEnv {
     }
 
     /// A straggler-speculation tick fired: abandon late FaaS attempts,
-    /// then re-arm (the sweep shares the monitor's cancellation token,
-    /// so it dies with the job).
-    pub(super) fn on_straggler_sweep(&mut self, job: usize, reply: ReplySlot<TickVerdict>) {
+    /// then re-arm. The sweep is keyed by the monitor generation, so it
+    /// ends with the job or with a monitor restart.
+    pub(super) fn on_straggler_sweep(&mut self, job: usize, generation: u64) {
         if self.jobs[job].is_finished()
+            || !self.monitor_live(job, generation)
             || !self.world.host_alive(self.jobs[job].monitor_host)
         {
-            reply.set(TickVerdict::Stop);
             return;
         }
         self.check_stragglers(job);
         if self.jobs[job].is_finished() {
-            reply.set(TickVerdict::Stop);
             return; // straggler handling may exhaust a task's budget
         }
         let interval = SimDuration::from_secs_f64(self.jobs[job].poll_interval);
-        let next = self.wake_timer(interval);
-        reply.set(TickVerdict::Rearm(next));
+        self.set_timer(interval, Route::StragglerSweep { job, generation });
     }
 
     /// Speculative re-execution: on each poll, FaaS task attempts older
@@ -298,20 +174,12 @@ impl CloudEnv {
         }
         // A checkpoint replay already restarted the loop (generation
         // mismatch), or the listing master died while the op was in
-        // flight: drop the reply. In the latter case the loop future
-        // parks on its unanswered reply gate — the replacement monitor
-        // (or the stall, under [`RecoveryMode::Protected`]) owns the
-        // job from here.
-        let Some(handle) = self.monitors.get_mut(&job) else {
-            return;
-        };
-        if handle.generation != generation {
-            return;
-        }
-        let Some(reply) = handle.pending_reply.take() else {
-            return;
-        };
-        if !self.world.host_alive(self.jobs[job].monitor_host) {
+        // flight: drop the reply and with it this loop — the
+        // replacement monitor (or the stall, under
+        // [`RecoveryMode::Protected`]) owns the job from here.
+        if !self.monitor_live(job, generation)
+            || !self.world.host_alive(self.jobs[job].monitor_host)
+        {
             return;
         }
         let OpOutcome::ListOk { keys } = outcome else {
@@ -320,8 +188,7 @@ impl CloudEnv {
         let total = self.jobs[job].tasks.len();
         if keys.len() < total {
             let interval = SimDuration::from_secs_f64(self.jobs[job].poll_interval);
-            let next = self.wake_timer(interval);
-            reply.set(TickVerdict::Rearm(next));
+            self.set_timer(interval, Route::MonitorTick { job, generation });
             return;
         }
         // All results present: collect them; the tick loop is done.
@@ -351,7 +218,6 @@ impl CloudEnv {
             .get_mut(&job)
             .expect("monitor handle vanished")
             .collecting = Some(outstanding);
-        reply.set(TickVerdict::Stop);
     }
 
     pub(super) fn on_collect(&mut self, job: usize, task: usize, generation: u64, outcome: OpOutcome) {
@@ -425,11 +291,9 @@ impl CloudEnv {
         if self.jobs[job].is_finished() {
             return;
         }
-        // The monitor (and any straggler sweep on the same token) dies
-        // with the job; pending wake timers fire into orphaned gates.
-        if let Some(handle) = self.monitors.remove(&job) {
-            handle.token.cancel();
-        }
+        // The monitor and any straggler sweep die with the job; their
+        // pending ticks fire later and find no live generation.
+        self.monitors.remove(&job);
         let now = self.world.now();
         self.jobs[job].finished_at = Some(now);
         self.jobs[job].error = error;

@@ -72,12 +72,17 @@ pub(crate) struct StandalonePool {
     /// Monotonic checkpoint sequence number (survives master swaps via
     /// the snapshot itself).
     pub(super) ckpt_seq: u64,
-    /// Liveness flag of the current checkpoint sleep loop; cleared when
-    /// the pool's job finishes so the loop exits on its next fire.
-    pub(super) ckpt_active: Option<Rc<Cell<bool>>>,
-    /// Gate the pending re-adoption future waits on; opened when the
-    /// replacement master finishes SSH setup.
-    pub(super) readopt_gate: Option<simkernel::aio::Gate>,
+    /// Start order of the current job's checkpoint loop while it is
+    /// live ([`RecoveryMode::Checkpointed`]); cleared when the job
+    /// finishes.
+    pub(super) checkpoint_loop: Option<u64>,
+    /// The live checkpoint loop's next snapshot deadline; `None` until
+    /// its first snapshot ran. A finished job's pending deadline moves
+    /// to [`CloudEnv`]'s ended deadlines.
+    pub(super) next_checkpoint: Option<SimTime>,
+    /// Start order of the re-adoption waiting for the replacement
+    /// master to finish SSH setup.
+    pub(super) readopt_pending: Option<u64>,
 }
 
 impl StandalonePool {
@@ -137,8 +142,9 @@ impl CloudEnv {
             recovering: false,
             recovery_episode: 0,
             ckpt_seq: 0,
-            ckpt_active: None,
-            readopt_gate: None,
+            checkpoint_loop: None,
+            next_checkpoint: None,
+            readopt_pending: None,
         });
         idx
     }
@@ -389,10 +395,12 @@ impl CloudEnv {
             self.pools[pool].kv = Some(kv);
         }
         // A replacement master finishing SSH setup lets the pending
-        // re-adoption proceed (Checkpointed mode).
+        // re-adoption proceed at the end of this pump (Checkpointed
+        // mode).
         if is_master_vm && self.pools[pool].recovering {
-            if let Some(gate) = self.pools[pool].readopt_gate.clone() {
-                gate.open();
+            if let Some(order) = self.pools[pool].readopt_pending.take() {
+                let episode = self.pools[pool].recovery_episode;
+                self.deferred.push_back((order, Deferred::Readopt { pool, episode }));
             }
         }
         self.pool_try_start(pool);
@@ -754,11 +762,12 @@ impl CloudEnv {
     pub(super) fn pool_job_finished(&mut self, pool: usize, _job: usize) {
         self.pools[pool].active = None;
         self.pools[pool].recovering = false;
-        self.pools[pool].readopt_gate = None;
+        self.pools[pool].readopt_pending = None;
         self.pools[pool].dc_ready.clear();
-        if let Some(flag) = self.pools[pool].ckpt_active.take() {
-            // The checkpoint sleep loop exits on its next fire.
-            flag.set(false);
+        // The checkpoint loop ends silently at its next deadline.
+        self.pools[pool].checkpoint_loop = None;
+        if let Some(next) = self.pools[pool].next_checkpoint.take() {
+            self.ended_checkpoints.push(next);
         }
         // "Once all logical functions have been completed, all resources
         // are automatically stopped" — unless reuse is configured and

@@ -1,6 +1,6 @@
 //! Failure handling and re-arming: storage op retries with
-//! exponential backoff and task attempt retries, both re-armed through
-//! one-shot kernel futures.
+//! exponential backoff and task attempt retries, both re-armed as
+//! world timers that carry the retried work.
 
 use super::*;
 
@@ -162,21 +162,16 @@ impl CloudEnv {
         };
         let backoff = policy
             .jittered_backoff_secs(attempts.min(policy.max_attempts.max(1)), op.index());
-        // One-shot backoff future: the world timer below fires at the
-        // same queue position the old retry timer did; the future just
-        // carries the request across the wait.
-        let gate = self.wake_timer(SimDuration::from_secs_f64(backoff));
-        let cmds = Rc::clone(&self.env_cmds);
-        self.kernel.spawn(async move {
-            gate.wait().await;
-            cmds.borrow_mut().push_back(EnvCmd::RetryStorage {
-                spec,
+        self.set_timer(
+            SimDuration::from_secs_f64(backoff),
+            Route::RetryStorage {
+                spec: Box::new(spec),
                 attempts,
                 inner: Box::new(route),
                 pending_slot,
                 task_attempt,
-            });
-        });
+            },
+        );
     }
 
     /// A task attempt failed (sandbox death, exhausted storage budget, or
@@ -217,16 +212,14 @@ impl CloudEnv {
             ((job as u64) << 32) | task as u64,
         );
         self.pending_task_retries.insert((job, task), attempts);
-        let gate = self.wake_timer(SimDuration::from_secs_f64(backoff));
-        let cmds = Rc::clone(&self.env_cmds);
-        self.kernel.spawn(async move {
-            gate.wait().await;
-            cmds.borrow_mut().push_back(EnvCmd::RetryTask {
+        self.set_timer(
+            SimDuration::from_secs_f64(backoff),
+            Route::RetryTask {
                 job,
                 task,
                 attempt: attempts,
-            });
-        });
+            },
+        );
     }
 
     /// Drops every trace of a task's current attempt: pending op routes,

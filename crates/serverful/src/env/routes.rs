@@ -1,7 +1,6 @@
 //! Event routing: the [`Route`] tag carried by every simulator
-//! notification, the [`EnvCmd`] queue kernel futures use to call back
-//! into the environment, and the dispatchers that fan completed ops,
-//! KV failures, and timers out to the focused modules.
+//! notification, and the dispatchers that fan completed ops, KV
+//! failures, and timers out to the focused modules.
 
 use super::*;
 
@@ -14,11 +13,32 @@ pub(super) enum Route {
     InputPut { job: usize, task: usize },
     /// Client-side function/deps serialisation before dispatch.
     JobSetup { job: usize },
-    /// A world-clock timer armed on behalf of a kernel future
-    /// ([`CloudEnv::wake_timer`]): firing opens the gate and pumps the
-    /// kernel so the awaiting loop runs *inside* this dispatch, exactly
-    /// where the old hand-rolled timer handler ran.
-    Wake { gate: Gate },
+    /// A completion-monitor tick: run one LIST cycle. Stale once the
+    /// job finished or its monitor restarted under a newer
+    /// `generation`; a stale tick fires and does nothing.
+    MonitorTick { job: usize, generation: u64 },
+    /// A straggler-speculation tick (FaaS jobs with a straggler
+    /// timeout); keyed by the monitor `generation` like
+    /// [`Route::MonitorTick`].
+    StragglerSweep { job: usize, generation: u64 },
+    /// A task retry backoff elapsed: re-dispatch attempt `attempt`
+    /// unless a newer attempt superseded it.
+    RetryTask { job: usize, task: usize, attempt: u32 },
+    /// A storage retry backoff elapsed: re-issue the faulted request.
+    RetryStorage {
+        spec: Box<StorageSpec>,
+        attempts: u32,
+        inner: Box<Route>,
+        /// `(faulted op, its slot)` in the task action's pending map,
+        /// if any. The faulted op stays in the map as a placeholder
+        /// while the backoff runs — so a sibling op of a multi-op
+        /// action cannot drain the map and assemble a result with a
+        /// hole — and is swapped for the re-issued op at fire time.
+        pending_slot: Option<(OpId, usize)>,
+        /// Task attempt the op belonged to; a mismatch at fire time
+        /// means the whole attempt was torn down meanwhile.
+        task_attempt: u32,
+    },
     /// Monitor LIST. `generation` versions the monitor loop so a LIST
     /// issued before a checkpoint replay restarted the cycle is told
     /// apart from the replacement's.
@@ -60,42 +80,6 @@ pub(super) enum Route {
     /// Worker PUT of a per-task completion counter (decentralized
     /// continuation passing).
     DcCounter { pool: usize, job: usize, task: usize },
-}
-
-/// An action queued by a kernel future for the environment to execute.
-/// The futures own control flow (when to tick, when to give up); the
-/// environment owns the world handle, so every side effect funnels
-/// through one of these.
-pub(super) enum EnvCmd {
-    /// Periodic master-state snapshot (checkpoint sleep loop).
-    Checkpoint { pool: usize },
-    /// Fetch the checkpoint for a replacement master (re-adoption gate).
-    Readopt { pool: usize, episode: u64 },
-    /// A completion-monitor tick elapsed: run the LIST cycle.
-    MonitorTick {
-        job: usize,
-        generation: u64,
-        reply: ReplySlot<TickVerdict>,
-    },
-    /// A straggler-speculation tick elapsed: sweep for late attempts.
-    StragglerSweep { job: usize, reply: ReplySlot<TickVerdict> },
-    /// A task retry backoff elapsed: re-dispatch the attempt.
-    RetryTask { job: usize, task: usize, attempt: u32 },
-    /// A storage retry backoff elapsed: re-issue the faulted request.
-    RetryStorage {
-        spec: StorageSpec,
-        attempts: u32,
-        inner: Box<Route>,
-        /// `(faulted op, its slot)` in the task action's pending map,
-        /// if any. The faulted op stays in the map as a placeholder
-        /// while the backoff runs — so a sibling op of a multi-op
-        /// action cannot drain the map and assemble a result with a
-        /// hole — and is swapped for the re-issued op at fire time.
-        pending_slot: Option<(OpId, usize)>,
-        /// Task attempt the op belonged to; a mismatch at fire time
-        /// means the whole attempt was torn down meanwhile.
-        task_attempt: u32,
-    },
 }
 
 impl CloudEnv {
@@ -220,17 +204,16 @@ impl CloudEnv {
 
     pub(super) fn on_timer(&mut self, route: Route) {
         match route {
-            Route::Wake { gate } => {
-                // Open the gate and pump the kernel *inside* this
-                // dispatch — but without advancing the kernel clock, so
-                // kernel timers (checkpoint sleeps) keep firing at their
-                // end-of-pump position. The woken loop queues its
-                // command and the drain runs it right here, exactly
-                // where the old hand-rolled timer handler ran.
-                gate.open();
-                self.kernel.run_ready();
-                self.drain_cmds();
-            }
+            Route::MonitorTick { job, generation } => self.on_monitor_tick(job, generation),
+            Route::StragglerSweep { job, generation } => self.on_straggler_sweep(job, generation),
+            Route::RetryTask { job, task, attempt } => self.on_retry_task(job, task, attempt),
+            Route::RetryStorage {
+                spec,
+                attempts,
+                inner,
+                pending_slot,
+                task_attempt,
+            } => self.on_retry_storage(*spec, attempts, *inner, pending_slot, task_attempt),
             Route::PoolVm { pool, slot, epoch } => self.on_pool_vm_ready(pool, slot, epoch),
             Route::PoolIdle { pool, epoch } => self.on_pool_idle(pool, epoch),
             Route::MasterNotify { job } => {

@@ -40,10 +40,13 @@
 //! The crate is backed by the [`cloudsim`] substrate; all latencies,
 //! contention and billing come from its calibrated models. The
 //! orchestration core lives in the [`env`](mod@env) module tree:
-//! [`CloudEnv`] pumps world notifications and hosts a deterministic
-//! async kernel ([`simkernel::aio`]) on which the completion monitor,
-//! retry re-arming and straggler speculation run as futures — see
-//! `env/`'s submodule docs for the per-concern breakdown.
+//! [`CloudEnv`] pumps world notifications and routes each one to its
+//! handler. The control loops — completion monitors, straggler sweeps,
+//! retry backoffs — are world timers keyed by monitor generation or
+//! attempt number, and checkpoint snapshots run on per-pool deadlines
+//! checked after each notification: the world's event queue is the
+//! only scheduler. See `env/`'s submodule docs for the per-concern
+//! breakdown.
 
 #![warn(missing_docs)]
 

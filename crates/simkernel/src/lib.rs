@@ -15,9 +15,10 @@
 //!   utilisation traces ([`series`]).
 //! * [`SimRng`] — seeded random numbers plus the handful of distributions
 //!   the cloud model needs ([`rng`]).
-//! * [`AsyncExecutor`] — a deterministic single-threaded async executor
-//!   on virtual time, with wakeup order tie-broken on
-//!   `(SimTime, spawn_seq)` ([`aio`]).
+//!
+//! There is one clock: a simulation owns an [`EventQueue`] and steps it
+//! event by event. Periodic work (polling monitors, retry backoffs) is
+//! just another timer event in that queue.
 //!
 //! # Example
 //!
@@ -34,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod aio;
 pub mod engine;
 pub mod fair_share;
 pub mod rng;
@@ -42,10 +42,6 @@ pub mod series;
 pub mod slots;
 pub mod time;
 
-pub use aio::{
-    join_all, race, timeout, AsyncExecutor, CancelToken, Either, ExecStats, Gate, JoinHandle,
-    Notifier, Slots, TaskId,
-};
 pub use engine::{EventQueue, EventToken, SchedStats};
 pub use fair_share::{FairShare, FlowId};
 pub use rng::SimRng;

@@ -27,10 +27,10 @@ if [[ -n "${UPDATE_GOLDENS:-}" ]]; then
 fi
 
 echo "== structural gate (serverful env stays modular) =="
-# The env monolith was broken up when the orchestration core moved onto
-# kernel futures; keep it that way. No serverful source file may grow
-# past 1,200 lines, and the deleted hand-rolled monitor machinery
-# (Route::Poll, MonitorState) must not reappear.
+# The env monolith was broken up into focused modules; keep it that
+# way. No serverful source file may grow past 1,200 lines. Monitor state
+# lives only in MonitorHandle, keyed by generation: the old hand-rolled
+# poll state machine (Route::Poll, MonitorState) must not reappear.
 oversized=$(find crates/serverful/src -name '*.rs' \
     | xargs wc -l | awk '$2 != "total" && $1 > 1200 {print $2 " (" $1 " lines)"}')
 [[ -z "$oversized" ]] \
@@ -42,16 +42,17 @@ if grep -rn "Route::Poll\b\|MonitorState" crates/serverful/src; then
 fi
 # Drivers are plain loops over CloudEnv: the driver-side reactors
 # (dag_async, CellRef, job futures, the all-jobs completion scan) must
-# not return, and CloudEnv's kernel is the only AsyncExecutor in the
-# product crates.
+# not return.
 if grep -rnw "dag_async\|run_dag_async\|CellRef\|job_future\|scan_completions" \
     crates src tests examples --include='*.rs'; then
     echo "deleted driver reactor machinery is back" >&2
     exit 1
 fi
-if grep -rn "AsyncExecutor::new" crates/{serverful,fleet,metaspace,planner}/src \
-    | grep -v "^crates/serverful/src/env/mod.rs:"; then
-    echo "AsyncExecutor::new outside CloudEnv (serverful/src/env/mod.rs)" >&2
+# One clock: the world's event queue is the only scheduler. CloudEnv's
+# control loops are generation-, attempt- or epoch-keyed timer routes,
+# and the async kernel they used to run on is gone for good.
+if grep -rn "AsyncExecutor\|simkernel::aio" crates src tests examples; then
+    echo "the deleted async kernel (simkernel::aio) is back" >&2
     exit 1
 fi
 
@@ -77,8 +78,8 @@ echo "== doctests (count-gated) =="
 # sync when examples are deliberately added or removed.
 cargo test --workspace --doc -q | tee /tmp/doctests.txt
 doctests=$(grep -Eo '[0-9]+ passed' /tmp/doctests.txt | awk '{s+=$1} END {print s}')
-[[ "${doctests:-0}" -ge 47 ]] \
-    || { echo "doctest count dropped to ${doctests:-0} (floor 47)" >&2; exit 1; }
+[[ "${doctests:-0}" -ge 43 ]] \
+    || { echo "doctest count dropped to ${doctests:-0} (floor 43)" >&2; exit 1; }
 
 echo "== tests (debug, incl. fast goldens) =="
 cargo test --workspace -q
@@ -89,21 +90,24 @@ echo "== planner smoke search (Brain) =="
 # cost (the paper's Figure 4 direction). Debug evaluation of the full
 # pipeline takes minutes, so this runs the release binary.
 cargo build --release -p bench -q
-
-echo "== async-kernel microbenchmarks (BENCH_kernel.json + regression gate) =="
-# Runs the kernel bench in release, writes BENCH_kernel.json (gitignored;
-# CI artifact), and fails when any scenario's throughput drops more than
-# 20% below the committed BENCH_kernel_baseline.json or the fleet-replay
-# speedup falls under its 10x floor.
-./target/release/kernel --seed 42 \
-    --git-rev "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-    --out BENCH_kernel.json \
-    --check-against BENCH_kernel_baseline.json
-
 ./target/release/repro plan brain --smoke --threads 2 --seed 42 \
     | tee /tmp/plan_smoke.txt
 grep -q "verdict: frontier beats pure-serverless on cost: yes" /tmp/plan_smoke.txt \
     || { echo "planner smoke search lost to pure serverless" >&2; exit 1; }
+
+echo "== system benchmark (sysbench self-tests + one short run per workload) =="
+# The benchmark of the real simulator (BENCHMARK.json, sysbench/) must
+# build against the crates, pass its self-tests, and run each declared
+# workload to completion with every simulated output checked: the last
+# line of each run must report "correct": true and "failed": 0.
+cargo test --offline --manifest-path sysbench/Cargo.toml -q
+for wl in xeno-serverless fleet-mixed planner-brain; do
+    cargo run --quiet --release --offline --manifest-path sysbench/Cargo.toml -- \
+        --workload "$wl" --seed 42 --seconds 1 --trace 0 > /tmp/sysbench_"$wl".txt
+    last=$(tail -n 1 /tmp/sysbench_"$wl".txt)
+    [[ "$last" == *'"correct": true'* && "$last" == *'"failed": 0'* ]] \
+        || { echo "sysbench $wl: $last" >&2; exit 1; }
+done
 
 echo "== CLI input is never silently defaulted or clamped =="
 # A malformed seed must not fall back to the default, and a requested
