@@ -53,6 +53,27 @@ fn bench_fair_share() {
         }
         now
     });
+    // Fleet runs keep creating sandboxes: every flow arrives on a host
+    // group never seen before, sharing one prefix, 50 at a time.
+    run_bench("fair-share/host churn", 50, |_| {
+        const PREFIX: u64 = 1 << 48;
+        let mut pool = FairShare::new(1e9, 85e6);
+        pool.set_group_cap(PREFIX, 5e8);
+        let mut now = SimTime::ZERO;
+        for host in 0..5_000u64 {
+            pool.set_group_cap(host, 1e8);
+            pool.start(now, 1_000_000 + host, &[host, PREFIX]);
+            if pool.active() == 50 {
+                now = pool.next_completion().expect("completion");
+                black_box(pool.advance(now).len());
+            }
+        }
+        while pool.active() > 0 {
+            now = pool.next_completion().expect("completion");
+            black_box(pool.advance(now).len());
+        }
+        now
+    });
 }
 
 fn bench_payload_codec() {

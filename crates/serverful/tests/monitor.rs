@@ -1,12 +1,13 @@
-//! Property tests of the per-job completion-monitor future.
+//! Property tests of the per-job completion monitor.
 //!
-//! The monitor is one kernel future per job; its cardinal invariant is
-//! that the LIST cycle never forks: at any instant at most one LIST is
-//! in flight per job, across monitor restarts (straggler speculation
-//! sharing the loop, master kills, checkpointed re-adoption replaying
-//! the monitor on a replacement master). `CloudEnv::monitor_list_overlap`
-//! tracks the high-water mark of concurrent same-generation LISTs; every
-//! property here drives a full job and asserts the mark stayed at 1.
+//! The monitor is one storage-polling loop per job, re-armed by world
+//! timers; its cardinal invariant is that the LIST cycle never forks: at
+//! any instant at most one LIST is in flight per job, across monitor
+//! restarts (straggler speculation sharing the loop, master kills,
+//! checkpointed re-adoption replaying the monitor on a replacement
+//! master). `CloudEnv::monitor_list_overlap` tracks the high-water mark
+//! of concurrent same-generation LISTs; every property here drives a
+//! full job and asserts the mark stayed at 1.
 //!
 //! No crates.io access means no `proptest`; cases are drawn from
 //! [`SimRng`] with the failing seed printed on assertion failure, like

@@ -17,6 +17,34 @@
 //! The pool does not own an event queue. Drivers integrate it with three
 //! calls: [`FairShare::start`]/[`FairShare::advance`] whenever membership
 //! changes, and [`FairShare::next_completion`] to know when to look again.
+//!
+//! # Layout
+//!
+//! A flow's rate depends only on its *group list* (the groups passed to
+//! [`FairShare::start`], in order) and on pool-wide state, so flows are
+//! bucketed by their exact group list:
+//!
+//! * **Flows** sit in a `Vec` sorted by id. Ids only grow, so `start`
+//!   pushes, `advance` compacts in place (its done list comes out in
+//!   [`FlowId`] order with no sort), and `cancel` binary-searches.
+//! * **Groups** are dense indices; the `HashMap` from the caller's group
+//!   id is consulted only by `set_group_cap`, `has_group` and a `start`
+//!   on a group list not already live.
+//! * **Buckets** hold one group list each and the rate its flows run at.
+//!   Rates are recomputed, once per bucket, whenever membership or a cap
+//!   changes; the per-flow passes (`progress_to`, `next_completion`) read
+//!   them by index.
+//!
+//! A bucket is freed when its last flow leaves and its slot is reused, so
+//! the rate recomputation is bounded by the peak number of *concurrent*
+//! group lists, not by every (host, prefix) pair a long run ever saw.
+//!
+//! The layout is bit-exact with a flow-by-flow evaluation: each bucket's
+//! rate is the same expression over the same operands, in the same order,
+//! that each of its flows would compute for itself; each flow's own
+//! progress arithmetic is unchanged; the earliest completion is a `min`,
+//! which does not depend on the order it visits flows in; and completions
+//! are reported in id order either way.
 
 use std::collections::HashMap;
 
@@ -30,16 +58,32 @@ pub struct FlowId(u64);
 /// float residue when progress is integrated in pieces.
 const DONE_EPSILON_BYTES: f64 = 1e-3;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Flow {
+    id: u64,
     remaining: f64,
-    groups: Vec<u64>,
+    /// Declared size, credited to `completed_bytes` on completion.
+    bytes: u64,
+    bucket: u32,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct Group {
     cap_bps: f64,
     active: usize,
+}
+
+/// The flows sharing one group list.
+#[derive(Debug)]
+struct Bucket {
+    /// The group ids as passed to [`FairShare::start`]; the index key.
+    key: Vec<u64>,
+    /// The same groups as dense indices, in the same order.
+    groups: Vec<u32>,
+    /// Live flows in this bucket; a slot with none is on the free list.
+    members: usize,
+    /// The rate each member runs at under the current membership.
+    rate: f64,
 }
 
 /// A fair-share bandwidth pool. See the [module docs](self) for the model.
@@ -59,8 +103,14 @@ struct Group {
 pub struct FairShare {
     aggregate_bps: f64,
     per_flow_bps: f64,
-    flows: HashMap<FlowId, Flow>,
-    groups: HashMap<u64, Group>,
+    /// In-flight flows, sorted by id.
+    flows: Vec<Flow>,
+    groups: Vec<Group>,
+    group_index: HashMap<u64, u32>,
+    buckets: Vec<Bucket>,
+    /// Live buckets by group list.
+    bucket_index: HashMap<Vec<u64>, u32>,
+    free_buckets: Vec<u32>,
     last_update: SimTime,
     next_id: u64,
     /// Total bytes that have finished transferring through this pool.
@@ -85,8 +135,12 @@ impl FairShare {
         FairShare {
             aggregate_bps,
             per_flow_bps,
-            flows: HashMap::new(),
-            groups: HashMap::new(),
+            flows: Vec::new(),
+            groups: Vec::new(),
+            group_index: HashMap::new(),
+            buckets: Vec::new(),
+            bucket_index: HashMap::new(),
+            free_buckets: Vec::new(),
             last_update: SimTime::ZERO,
             next_id: 0,
             completed_bytes: 0.0,
@@ -101,7 +155,20 @@ impl FairShare {
     /// Panics if `cap_bps` is not positive.
     pub fn set_group_cap(&mut self, group: u64, cap_bps: f64) {
         assert!(cap_bps > 0.0, "group cap must be positive");
-        self.groups.entry(group).or_default().cap_bps = cap_bps;
+        match self.group_index.get(&group) {
+            Some(&index) => {
+                let entry = &mut self.groups[index as usize];
+                entry.cap_bps = cap_bps;
+                if entry.active > 0 {
+                    self.refresh_rates();
+                }
+            }
+            None => {
+                let index = u32::try_from(self.groups.len()).expect("under 2^32 groups");
+                self.group_index.insert(group, index);
+                self.groups.push(Group { cap_bps, active: 0 });
+            }
+        }
     }
 
     /// Starts a transfer of `bytes` at time `now`, constrained by zero or
@@ -116,28 +183,27 @@ impl FairShare {
     /// declared via [`Self::set_group_cap`].
     pub fn start(&mut self, now: SimTime, bytes: u64, groups: &[u64]) -> FlowId {
         self.progress_to(now);
-        for &g in groups {
-            let entry = self
-                .groups
-                .get_mut(&g)
-                .expect("flow group must be declared before use");
-            entry.active += 1;
+        let bucket = self.bucket_for(groups);
+        let entry = &mut self.buckets[bucket as usize];
+        entry.members += 1;
+        for &g in &entry.groups {
+            self.groups[g as usize].active += 1;
         }
-        let id = FlowId(self.next_id);
+        let id = self.next_id;
         self.next_id += 1;
-        self.flows.insert(
+        self.flows.push(Flow {
             id,
-            Flow {
-                remaining: bytes as f64,
-                groups: groups.to_vec(),
-            },
-        );
-        id
+            remaining: bytes as f64,
+            bytes,
+            bucket,
+        });
+        self.refresh_rates();
+        FlowId(id)
     }
 
     /// Whether a group has been declared.
     pub fn has_group(&self, group: u64) -> bool {
-        self.groups.contains_key(&group)
+        self.group_index.contains_key(&group)
     }
 
     /// Advances all flows to `now` and returns the flows that completed,
@@ -148,23 +214,36 @@ impl FairShare {
     /// Panics if `now` precedes the last update.
     pub fn advance(&mut self, now: SimTime) -> Vec<FlowId> {
         self.progress_to(now);
-        let mut done: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.remaining <= DONE_EPSILON_BYTES)
-            .map(|(id, _)| *id)
-            .collect();
-        done.sort_unstable();
-        for id in &done {
-            self.remove(*id);
+        let is_done = |f: &Flow| f.remaining <= DONE_EPSILON_BYTES;
+        let Some(first) = self.flows.iter().position(is_done) else {
+            return Vec::new();
+        };
+        let mut done = Vec::new();
+        let mut kept = first;
+        for i in first..self.flows.len() {
+            let flow = self.flows[i];
+            if is_done(&flow) {
+                done.push(FlowId(flow.id));
+                self.completed_bytes += flow.bytes as f64;
+                self.leave(flow.bucket);
+            } else {
+                self.flows[kept] = flow;
+                kept += 1;
+            }
         }
+        self.flows.truncate(kept);
+        self.refresh_rates();
         done
     }
 
     /// Aborts an in-flight transfer. No-op if the flow already completed.
     pub fn cancel(&mut self, now: SimTime, id: FlowId) {
         self.progress_to(now);
-        self.remove(id);
+        if let Ok(i) = self.flows.binary_search_by_key(&id.0, |f| f.id) {
+            let flow = self.flows.remove(i);
+            self.leave(flow.bucket);
+            self.refresh_rates();
+        }
     }
 
     /// The earliest instant at which some current flow completes, assuming
@@ -172,8 +251,8 @@ impl FairShare {
     pub fn next_completion(&self) -> Option<SimTime> {
         let min_secs = self
             .flows
-            .values()
-            .map(|f| f.remaining.max(0.0) / self.rate_of(f))
+            .iter()
+            .map(|f| f.remaining.max(0.0) / self.buckets[f.bucket as usize].rate)
             .fold(f64::INFINITY, f64::min);
         if min_secs.is_finite() {
             // Round up to the next whole microsecond so the driver's tick
@@ -190,20 +269,73 @@ impl FairShare {
         self.flows.len()
     }
 
-    /// Total bytes fully transferred through this pool so far.
+    /// Total bytes of the transfers that completed so far (cancelled
+    /// transfers are not counted).
     pub fn completed_bytes(&self) -> f64 {
         self.completed_bytes
     }
 
-    /// Instantaneous rate of one flow under the current membership.
-    fn rate_of(&self, flow: &Flow) -> f64 {
-        let n = self.flows.len().max(1) as f64;
-        let mut rate = self.per_flow_bps.min(self.aggregate_bps / n);
-        for g in &flow.groups {
-            let group = &self.groups[g];
-            rate = rate.min(group.cap_bps / group.active.max(1) as f64);
+    /// The live bucket for a group list, created (or a freed slot reused)
+    /// on first sight.
+    fn bucket_for(&mut self, groups: &[u64]) -> u32 {
+        if let Some(&bucket) = self.bucket_index.get(groups) {
+            return bucket;
         }
-        rate
+        let dense: Vec<u32> = groups
+            .iter()
+            .map(|g| {
+                *self
+                    .group_index
+                    .get(g)
+                    .expect("flow group must be declared before use")
+            })
+            .collect();
+        let fresh = Bucket {
+            key: groups.to_vec(),
+            groups: dense,
+            members: 0,
+            rate: 0.0,
+        };
+        let bucket = match self.free_buckets.pop() {
+            Some(slot) => {
+                self.buckets[slot as usize] = fresh;
+                slot
+            }
+            None => {
+                self.buckets.push(fresh);
+                u32::try_from(self.buckets.len() - 1).expect("under 2^32 group lists")
+            }
+        };
+        self.bucket_index.insert(groups.to_vec(), bucket);
+        bucket
+    }
+
+    /// Takes one member out of a bucket, freeing the bucket when it was
+    /// the last. Rates are stale until the next [`Self::refresh_rates`].
+    fn leave(&mut self, bucket: u32) {
+        let entry = &mut self.buckets[bucket as usize];
+        entry.members -= 1;
+        for &g in &entry.groups {
+            self.groups[g as usize].active -= 1;
+        }
+        if entry.members == 0 {
+            self.bucket_index.remove(entry.key.as_slice());
+            self.free_buckets.push(bucket);
+        }
+    }
+
+    /// Recomputes every live bucket's rate under the current membership.
+    fn refresh_rates(&mut self) {
+        let n = self.flows.len().max(1) as f64;
+        let shared = self.per_flow_bps.min(self.aggregate_bps / n);
+        for bucket in self.buckets.iter_mut().filter(|b| b.members > 0) {
+            let mut rate = shared;
+            for &g in &bucket.groups {
+                let group = &self.groups[g as usize];
+                rate = rate.min(group.cap_bps / group.active.max(1) as f64);
+            }
+            bucket.rate = rate;
+        }
     }
 
     fn progress_to(&mut self, now: SimTime) {
@@ -215,32 +347,20 @@ impl FairShare {
         );
         let dt = (now - self.last_update).as_secs_f64();
         self.last_update = now;
-        if dt == 0.0 || self.flows.is_empty() {
+        if dt == 0.0 {
             return;
         }
         // Rates depend only on membership, which is constant over the
         // interval, so a single linear step is exact.
-        let rates: Vec<(FlowId, f64)> = self
-            .flows
-            .iter()
-            .map(|(id, f)| (*id, self.rate_of(f)))
-            .collect();
-        for (id, rate) in rates {
-            let f = self.flows.get_mut(&id).expect("flow disappeared");
+        for f in &mut self.flows {
+            let rate = self.buckets[f.bucket as usize].rate;
             f.remaining = (f.remaining - rate * dt).max(0.0);
         }
     }
-
-    fn remove(&mut self, id: FlowId) {
-        if let Some(flow) = self.flows.remove(&id) {
-            self.completed_bytes += 0.0f64.max(flow.remaining); // residue is ~0
-            for g in &flow.groups {
-                let group = self.groups.get_mut(g).expect("group disappeared");
-                group.active = group.active.saturating_sub(1);
-            }
-        }
-    }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -312,6 +432,19 @@ mod tests {
     }
 
     #[test]
+    fn completed_bytes_counts_finished_flows_only() {
+        let mut pool = FairShare::new(100.0, 100.0);
+        let a = pool.start(t(0.0), 1_000, &[]);
+        pool.start(t(0.0), 100, &[]);
+        pool.start(t(0.0), 0, &[]);
+        pool.cancel(t(1.0), a);
+        while let Some(at) = pool.next_completion() {
+            pool.advance(at);
+        }
+        assert_eq!(pool.completed_bytes(), 100.0);
+    }
+
+    #[test]
     fn zero_byte_flow_completes_immediately() {
         let mut pool = FairShare::new(100.0, 100.0);
         pool.start(t(0.0), 0, &[]);
@@ -333,5 +466,30 @@ mod tests {
     fn undeclared_group_panics() {
         let mut pool = FairShare::new(100.0, 100.0);
         pool.start(t(0.0), 10, &[99]);
+    }
+
+    /// A long run that keeps creating hosts must not keep their buckets:
+    /// one flow at a time on a fresh group each time never needs more than
+    /// one bucket slot.
+    #[test]
+    fn buckets_are_bounded_by_concurrent_group_sets() {
+        const PREFIX: u64 = 1 << 48;
+        let mut pool = FairShare::new(1e9, 85e6);
+        pool.set_group_cap(PREFIX, 5e8);
+        let mut now = SimTime::ZERO;
+        for host in 0..10_000u64 {
+            pool.set_group_cap(host, 1e8);
+            pool.start(now, 1_000 + host, &[host, PREFIX]);
+            assert!(
+                pool.buckets.len() <= 1,
+                "host {host}: {} slots",
+                pool.buckets.len()
+            );
+            now = pool.next_completion().expect("one live flow");
+            assert_eq!(pool.advance(now).len(), 1);
+            assert!(pool.bucket_index.is_empty());
+        }
+        assert_eq!(pool.buckets.len(), 1);
+        assert_eq!(pool.free_buckets, [0]);
     }
 }

@@ -135,8 +135,8 @@ fn event_queue_is_time_ordered() {
     });
 }
 
-/// Fair-share transfers all complete, and total completion time is
-/// bounded below by aggregate capacity.
+/// Fair-share transfers all complete, every byte is accounted for, and
+/// total completion time is bounded below by aggregate capacity.
 #[test]
 fn fair_share_conserves_bytes() {
     forall_cases(64, |seed, rng| {
@@ -161,6 +161,7 @@ fn fair_share_conserves_bytes() {
             assert!(guard < 10_000, "pool failed to drain (seed {seed})");
         }
         assert_eq!(done, sizes.len(), "seed {seed}");
+        assert_eq!(pool.completed_bytes(), total as f64, "seed {seed}");
         // No faster than the aggregate cap allows.
         let lower_bound = total as f64 / aggregate;
         assert!(now.as_secs_f64() >= lower_bound * 0.999, "seed {seed}");
