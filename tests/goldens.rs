@@ -13,7 +13,8 @@
 //! ```
 //!
 //! The paper-scale goldens (Tables 3–4, Figures 5–6, the Xenograft
-//! trace) are ignored under debug builds; run them with `--release`.
+//! trace) and the fleet-at-scale golden are ignored under debug builds;
+//! run them with `--release`.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -24,7 +25,7 @@ use serverful_repro::bench::render::{
     render_fig5, render_fig6, render_table1, render_table2, render_table3, render_table4,
 };
 use serverful_repro::cloudsim::{CloudConfig, FaultConfig};
-use serverful_repro::fleet::{run_policy, whatif, Policy, PolicyOutcome, Scenario};
+use serverful_repro::fleet::{run_policy, run_scenario, whatif, Policy, PolicyOutcome, Scenario};
 use serverful_repro::metaspace::{
     jobs, pipeline, run_workload, run_workload_chaos, Architecture, DeploymentPlan,
     FunctionsPlan, PlanKind, Stage, TraceOutput,
@@ -330,6 +331,37 @@ fn render_drivers() -> String {
 #[test]
 fn golden_drivers() {
     check_golden("drivers", &render_drivers());
+}
+
+/// Fleet cells at scale: the `mixed` preset at 240 jobs and twice its
+/// arrival rate under all three policies, then the spot-storm and
+/// spillover presets through `run_scenario`. Unlike the smoke cells,
+/// these often finish several jobs' stages on one event, so this pins
+/// the order in which the driver moves those jobs on.
+fn render_fleet_scale() -> String {
+    let mut out = String::new();
+    let mut sc = Scenario::mixed();
+    sc.max_jobs = 240;
+    sc.arrival_rate_per_min *= 2.0;
+    for policy in [Policy::Serverless, Policy::PerJobFleet, Policy::SharedPool] {
+        let o = run_policy(&sc, policy, GOLDEN_SEED).expect("mixed cell completes");
+        write_cell(&mut out, "mixed jobs=240 rate=x2", &o);
+    }
+    for sc in [Scenario::spot_storm(), Scenario::spillover()] {
+        let report = run_scenario(&sc, GOLDEN_SEED, 2).expect("preset runs");
+        for o in &report.policies {
+            write_cell(&mut out, &sc.name, o);
+        }
+    }
+    out
+}
+
+/// The cross-commit pin for the fleet driver at scale (see
+/// [`render_fleet_scale`]).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "hundreds of fleet jobs; use --release")]
+fn golden_fleet_scale() {
+    check_golden("fleet_scale", &render_fleet_scale());
 }
 
 /// The paper-scale acceptance check: the seeded Xenograft trace replays
