@@ -11,12 +11,13 @@
 //! Inside a cell, one plain loop pumps the environment. Arrivals are
 //! [`serverful::CloudEnv::external_timer`]s: the arriving job submits
 //! its first stage (barrier) or its gated FaaS stages (pipelined). After
-//! every other event the cell polls the stages of its unfinished jobs,
-//! in arrival order, through one
-//! [`serverful::FunctionExecutor::try_result`] dispatch: a drained
-//! barrier stage submits the job's next stage or finishes the job; a
-//! pipelined job finishes once all of its stages have drained. Every
-//! stage submission passes the [`Admission`] controller.
+//! every other event the cell drains the stages that finished
+//! ([`serverful::CloudEnv::take_finished`]), maps them to their jobs, and
+//! visits only those jobs, in arrival order, redeeming their stages
+//! through one [`serverful::FunctionExecutor::try_result`] dispatch: a
+//! drained barrier stage submits the job's next stage or finishes the
+//! job; a pipelined job finishes once all of its stages have drained.
+//! Every stage submission passes the [`Admission`] controller.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -291,6 +292,7 @@ fn run_cell_traffic(
         pool,
         adm: Admission::new(sc.quotas.clone()),
         jobs: Vec::new(),
+        stage_jobs: Vec::new(),
         unfinished: Vec::new(),
         waiting: VecDeque::new(),
         arrival_tokens: HashMap::new(),
@@ -357,9 +359,14 @@ struct Cell<'a> {
     pool: Option<SharedPool>,
     adm: Admission,
     jobs: Vec<JobRun>,
+    /// The job each submitted stage belongs to, indexed by
+    /// [`JobHandle::index`]: a cell submits nothing but stages to its
+    /// env, so the env's job ids are exactly this list's indices.
+    stage_jobs: Vec<usize>,
     /// Indices of the jobs that arrived and have not finished, ascending
-    /// (arrival order): the only jobs a scan visits. Arrivals append the
-    /// largest index; a scan that finished jobs drops them afterwards.
+    /// (arrival order): the jobs the pipelined release pass visits and
+    /// the cell waits on. Arrivals append the largest index; a scan that
+    /// finished jobs drops them afterwards.
     unfinished: Vec<usize>,
     /// Jobs whose next stage awaits quota headroom, FIFO (barrier cells
     /// only; pipelined cells rescan in job order instead).
@@ -490,15 +497,26 @@ impl Cell<'_> {
         }
     }
 
-    /// Polls the in-flight stages of every unfinished job (arrival
-    /// order, stages in pipeline order). A drained barrier stage submits
-    /// the job's next stage, or finishes the job after its last; a
-    /// pipelined job finishes once every stage has drained.
+    /// Redeems the stages that finished since the last scan: visits
+    /// their jobs in arrival order (stages in pipeline order). A drained
+    /// barrier stage submits the job's next stage, or finishes the job
+    /// after its last; a pipelined job finishes once every stage has
+    /// drained. A stage that finishes during the scan (one rejected at
+    /// submission) is already queued for the next.
     fn scan_stages(&mut self) -> Result<(), ExecError> {
+        let mut drained = Vec::new();
+        self.env.take_finished(&mut drained);
+        let mut ready: Vec<usize> = drained.iter().map(|h| self.stage_jobs[h.index()]).collect();
+        ready.sort_unstable();
+        ready.dedup();
+        #[cfg(debug_assertions)]
+        self.assert_no_missed_completion(&ready);
         let mut finished = false;
-        let mut cursor = 0;
-        while let Some(&idx) = self.unfinished.get(cursor) {
-            cursor += 1;
+        for idx in ready {
+            debug_assert!(
+                self.jobs[idx].finished.is_none(),
+                "a finished job's stage finished"
+            );
             if self.pipelined {
                 let mut all_complete = true;
                 for s in 0..self.jobs[idx].stages.len() {
@@ -544,6 +562,31 @@ impl Cell<'_> {
             self.unfinished.retain(|&j| jobs[j].finished.is_none());
         }
         Ok(())
+    }
+
+    /// The differential oracle of the completion queue: the full scan
+    /// it replaced. Every stage an unfinished job holds whose result it
+    /// has not taken must either still be running or belong to a job the
+    /// scan is about to visit.
+    #[cfg(debug_assertions)]
+    fn assert_no_missed_completion(&self, ready: &[usize]) {
+        for &idx in &self.unfinished {
+            let job = &self.jobs[idx];
+            let held = job.active.iter().chain(
+                job.pipe
+                    .iter()
+                    .filter(|p| !p.complete)
+                    .filter_map(|p| p.handle.as_ref()),
+            );
+            for (handle, _) in held {
+                assert!(
+                    !handle.is_finished(&self.env) || ready.binary_search(&idx).is_ok(),
+                    "job {} holds finished stage {} that the completion queue never reported",
+                    job.name,
+                    handle.index()
+                );
+            }
+        }
     }
 
     /// Makes queued or gated stages progress after any event, whichever
@@ -834,6 +877,12 @@ impl Cell<'_> {
                     .map_with(env, factory, inputs, opts),
             }
         };
+        assert_eq!(
+            handle.index(),
+            self.stage_jobs.len(),
+            "the cell's env runs only stages"
+        );
+        self.stage_jobs.push(idx);
         if self.pipelined {
             self.jobs[idx].pipe[stage_idx].handle = Some((handle, slot));
         } else {

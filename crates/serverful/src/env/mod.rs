@@ -41,6 +41,7 @@ use telemetry::{FleetTag, StageSpan, Timeline};
 use crate::config::{ExecMode, StandaloneConfig};
 use crate::dag::{fan_in_range, FanIn};
 use crate::error::ExecError;
+use crate::executor::JobHandle;
 use crate::job::{JobBackend, JobState, PendingShape, TaskPhase, TaskRun};
 use crate::payload::Payload;
 use crate::recovery::{checkpoint_key, JobCheckpoint, MasterCheckpoint, RecoveryMode, RecoveryStats};
@@ -124,6 +125,9 @@ pub struct CloudEnv {
     armed_kills: Vec<(usize, u64)>,
     /// Notifications routed so far (the chaos kills' event clock).
     events_routed: u64,
+    /// Jobs finished since the last [`CloudEnv::take_finished`], in
+    /// finish order.
+    finished: Vec<usize>,
 }
 
 impl std::fmt::Debug for CloudEnv {
@@ -173,6 +177,7 @@ impl CloudEnv {
             dc_jobs: HashMap::new(),
             armed_kills: Vec::new(),
             events_routed: 0,
+            finished: Vec::new(),
         }
     }
 
@@ -256,6 +261,7 @@ impl CloudEnv {
             job.finished_at = Some(job.submitted_at);
             job.error = Some(err);
             self.jobs.push(job);
+            self.finished.push(id);
             return id;
         }
         if self.world.tracer().is_enabled() {
@@ -404,14 +410,16 @@ impl CloudEnv {
     /// Advances the world by one notification and routes it. This is the
     /// non-blocking counterpart of the blocking drive loop behind
     /// [`FunctionExecutor::get_result`]: a driver juggling many
-    /// concurrent jobs (the `fleet` crate) calls this in a loop, polling
-    /// its jobs with [`FunctionExecutor::try_result`] between events and
-    /// receiving its own [`external_timer`]s (arrivals, deadlines) as
-    /// [`EnvEvent::Timer`].
+    /// concurrent jobs (the `fleet` crate) calls this in a loop, after
+    /// each event collects the jobs that finished with
+    /// [`take_finished`] and redeems only those with
+    /// [`FunctionExecutor::try_result`], and receives its own
+    /// [`external_timer`]s (arrivals, deadlines) as [`EnvEvent::Timer`].
     ///
     /// [`FunctionExecutor::get_result`]: crate::FunctionExecutor::get_result
     /// [`FunctionExecutor::try_result`]: crate::FunctionExecutor::try_result
     ///
+    /// [`take_finished`]: Self::take_finished
     /// [`external_timer`]: Self::external_timer
     pub fn pump(&mut self) -> EnvEvent {
         match self.world.step() {
@@ -431,6 +439,17 @@ impl CloudEnv {
                 EnvEvent::Progress
             }
         }
+    }
+
+    /// Appends to `out` every job that finished since the previous call,
+    /// in finish order, and forgets them. A job enters this queue exactly
+    /// once, when it finishes (results collected, failed, or rejected at
+    /// submission), so the queue holds at most one entry per submitted
+    /// job. A driver that waits on many jobs redeems only these with
+    /// [`FunctionExecutor::try_result`](crate::FunctionExecutor::try_result)
+    /// instead of polling every job after every event.
+    pub fn take_finished(&mut self, out: &mut Vec<JobHandle>) {
+        out.extend(self.finished.drain(..).map(|id| JobHandle { id }));
     }
 
     /// Registers a caller-owned timer; [`pump`](Self::pump) surfaces it

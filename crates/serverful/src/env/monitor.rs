@@ -297,6 +297,7 @@ impl CloudEnv {
         let now = self.world.now();
         self.jobs[job].finished_at = Some(now);
         self.jobs[job].error = error;
+        self.finished.push(job);
         let span = self.jobs[job].span;
         if self.world.tracer().is_enabled() {
             if let Some(err) = &self.jobs[job].error {

@@ -1,5 +1,6 @@
-//! Control-loop bookkeeping: submission-time validation, and that a
-//! drained run leaves no monitor, retry or checkpoint state behind.
+//! Control-loop bookkeeping: submission-time validation, that a
+//! drained run leaves no monitor, retry or checkpoint state behind, and
+//! that the finished-job queue reports every job exactly once.
 
 use std::sync::Arc;
 
@@ -9,7 +10,7 @@ use super::*;
 use crate::config::ExecutorConfig;
 use crate::executor::{Backend, FunctionExecutor};
 use crate::job::TaskFactory;
-use crate::task::ScriptTask;
+use crate::task::{ScriptTask, TaskStep};
 
 fn square_factory() -> TaskFactory {
     Arc::new(|input: &Payload| {
@@ -108,4 +109,76 @@ fn drained_checkpointed_run_leaves_no_control_loop_state() {
         assert_eq!(p.checkpoint_loop, None, "a checkpoint loop outlived its job");
         assert_eq!(p.readopt_pending, None, "a re-adoption leaked");
     }
+}
+
+#[test]
+fn finished_queue_reports_every_job_once_in_finish_order() {
+    let mut env = CloudEnv::new_default(5);
+    let mut faas = FunctionExecutor::new(&mut env, Backend::faas(), ExecutorConfig::default());
+    let mut vm = FunctionExecutor::new(&mut env, Backend::vm(), ExecutorConfig::default());
+    let mut bad_pool = FunctionExecutor::new(&mut env, Backend::vm(), checkpointed_config(0.0));
+
+    let ok_faas = faas.map(
+        &mut env,
+        square_factory(),
+        (0..4).map(Payload::U64).collect(),
+    );
+    let ok_vm = vm.map(
+        &mut env,
+        square_factory(),
+        (0..4).map(Payload::U64).collect(),
+    );
+    let failing: TaskFactory = Arc::new(|_: &Payload| {
+        ScriptTask::new()
+            .compute(1.0)
+            .finish_with(|_, _| TaskStep::Fail("boom".to_owned()))
+            .boxed()
+    });
+    let task_error = faas.map(&mut env, failing, vec![Payload::U64(0)]);
+    // `check_backend` rejects this one inside `map`: it is finished, and
+    // queued, before the world has moved.
+    let rejected = bad_pool.map(&mut env, square_factory(), vec![Payload::U64(1)]);
+    let mut order = Vec::new();
+    env.take_finished(&mut order);
+    assert_eq!(order, vec![rejected], "only the rejected job has finished");
+
+    while env.pump() != EnvEvent::Drained {
+        env.take_finished(&mut order);
+    }
+    env.take_finished(&mut order);
+    let mut ids: Vec<usize> = order.iter().map(JobHandle::index).collect();
+    let finished_at: Vec<SimTime> = ids
+        .iter()
+        .map(|&id| env.jobs[id].finished_at.expect("queued jobs are finished"))
+        .collect();
+    assert!(
+        finished_at.windows(2).all(|w| w[0] <= w[1]),
+        "not in finish order: {ids:?} at {finished_at:?}"
+    );
+    ids.sort_unstable();
+    let mut expected: Vec<usize> = [ok_faas, ok_vm, task_error, rejected]
+        .iter()
+        .map(JobHandle::index)
+        .collect();
+    expected.sort_unstable();
+    assert_eq!(ids, expected, "every job exactly once");
+
+    let mut again = Vec::new();
+    env.take_finished(&mut again);
+    assert!(again.is_empty(), "a second drain reported {again:?}");
+
+    let squares: Vec<Payload> = (0..4).map(|i| Payload::U64(i * i)).collect();
+    assert_eq!(
+        faas.try_result(&mut env, ok_faas),
+        Some(Ok(squares.clone()))
+    );
+    assert_eq!(vm.try_result(&mut env, ok_vm), Some(Ok(squares)));
+    assert!(matches!(
+        faas.try_result(&mut env, task_error),
+        Some(Err(ExecError::TaskFailed(_)))
+    ));
+    assert!(matches!(
+        bad_pool.try_result(&mut env, rejected),
+        Some(Err(ExecError::Unsupported(_)))
+    ));
 }

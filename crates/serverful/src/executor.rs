@@ -76,6 +76,13 @@ pub struct JobHandle {
 }
 
 impl JobHandle {
+    /// The job's submission index in its [`CloudEnv`]: 0 for the first
+    /// job submitted there, then 1, 2, … — dense, so drivers can key
+    /// per-job state by it in a `Vec`.
+    pub fn index(&self) -> usize {
+        self.id
+    }
+
     /// Number of tasks (partitions) in the job.
     #[must_use = "a task count only informs scheduling; it has no side effect"]
     pub fn total_tasks(&self, env: &CloudEnv) -> usize {
@@ -299,8 +306,9 @@ impl FunctionExecutor {
     /// Non-blocking completion check: the job's results if it has
     /// finished, `None` while it is still running. The counterpart of
     /// [`get_result`](Self::get_result) for drivers pumping the
-    /// environment themselves via [`CloudEnv::pump`]. A finished job's
-    /// results can be taken only once.
+    /// environment themselves via [`CloudEnv::pump`];
+    /// [`CloudEnv::take_finished`] names the jobs worth asking about. A
+    /// finished job's results can be taken only once.
     pub fn try_result(
         &mut self,
         env: &mut CloudEnv,
